@@ -15,7 +15,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from .field import Field, ParseError
-from .linalg import DimensionError, Vector
+from .linalg import DimensionError
 from .convex import (
     TooFewPointsError,
     box_presentation,
@@ -59,7 +59,7 @@ from .serialize import (
     vector_from_json,
     vector_to_json,
 )
-from .verify import check_two_term_counterexample, run_suite
+from .verify import check_two_term_counterexample, run_suite, two_term_counterexample
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -239,20 +239,11 @@ def _run_witness(field: Field, args) -> Dict[str, Any]:
     if name == "frachelly":
         return {"family": family_to_json(hyperplane_family(field, d, args.count))}
     if name == "counterexample":
-        two = Field.padic(2)
-        pts = [
-            Vector.from_ints(two, [0, 0, 0]),
-            Vector.from_ints(two, [1, 0, 0]),
-            Vector.from_ints(two, [0, 1, 1]),
-        ]
-        weights = [two.from_int(-1), two.one, two.one]
-        combo = Vector.zero(two, 3)
-        for w, p in zip(weights, pts):
-            combo = combo + p.scale(w)
+        pts, weights, combo = two_term_counterexample()
         if not check_two_term_counterexample():
             raise ViolationError("the fixed counterexample no longer checks out")
         return {
-            "fieldUsed": two.selector,
+            "fieldUsed": combo.field.selector,
             "points": [vector_to_json(p) for p in pts],
             "weights": [w.render() for w in weights],
             "combination": vector_to_json(combo),
@@ -285,13 +276,23 @@ def _run_verify(field: Field, args) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="padic:2", metavar="SELECTOR",
                         help="field selector, padic:<p> or ratfunc:<char> (default padic:2)")
     common.add_argument("--seed", type=int, default=0, metavar="U64",
                         help="64-bit seed for randomized operations (default 0)")
-    common.add_argument("--trials", type=int, default=100, metavar="N",
+    common.add_argument("--trials", type=_positive_int, default=100, metavar="N",
                         help="trial count for randomized operations (default 100)")
     common.add_argument("--json", action="store_true",
                         help="compact single-line JSON instead of indented")
@@ -326,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("witness", parents=[common],
                        help="emit a named construction (no stdin)")
     w.add_argument("name", choices=WITNESS_NAMES)
-    w.add_argument("--dim", type=int, default=2, metavar="D",
+    w.add_argument("--dim", type=_positive_int, default=2, metavar="D",
                    help="ambient dimension (default 2)")
-    w.add_argument("--count", type=int, default=6, metavar="N",
+    w.add_argument("--count", type=_positive_int, default=6, metavar="N",
                    help="number of hyperplanes for the frachelly witness (default 6)")
 
     v = sub.add_parser("verify", parents=[common],

@@ -24,6 +24,8 @@ from .linalg import (
     ScaleSystem,
     Vector,
     coords,
+    independent_indices,
+    least_valuation_index,
     orthogonalize,
 )
 
@@ -31,44 +33,15 @@ FULL = "full"
 ONLY_INFINITY = "only-infinity"
 
 
-def _groom_integral(field: Field, v: Vector) -> Vector:
-    """Unit-rescale a generator; the O-span is unchanged."""
-    return v.groomed()
-
-
 def _groom_free(field: Field, v: Vector) -> Vector:
     """Rescale a line generator to integral entries of least valuation 0."""
-    w = _groom_integral(field, v)
+    w = v.groomed()
     if w.is_zero:
         return w
     shift = w.val().value
     if shift:
         w = w.scale(field.uniformizer_pow(-shift))
     return w
-
-
-def _independent_subset(field: Field, vectors: Sequence[Vector]) -> List[Vector]:
-    """Keep a maximal independent subset, repeatedly dropping, for each
-    dependency found, the coefficient of minimal valuation (lowest index on
-    ties).  Dropped vectors are O-combinations of the survivors, so both the
-    K-span and the O-span are preserved."""
-    work = [v for v in vectors]
-    while True:
-        work = [v for v in work if not v.is_zero]
-        if not work:
-            return []
-        A = Matrix.from_cols(field, work, nrows=work[0].dim)
-        ker = LinearSolver(A).kernel()
-        if not ker:
-            return work
-        a = ker[0]
-        best = 0
-        best_val = a[0].val()
-        for i in range(1, len(a.coords)):
-            v = a[i].val()
-            if v < best_val:
-                best, best_val = i, v
-        del work[best]
 
 
 class MixedModule:
@@ -78,11 +51,11 @@ class MixedModule:
     linearly independent one (preserving spans via the minimal-valuation
     drop rule), and discards integral generators already inside the free
     subspace.  A normal form (free basis plus a valuation-orthogonal basis
-    of the integral part reduced modulo the free pivots) and a reusable
-    scale-constrained solver are cached lazily.
+    of the integral part reduced modulo the free pivots) is cached lazily;
+    membership and line containment are read off it.
     """
 
-    __slots__ = ("field", "dim", "free_gens", "integral_gens", "_nf", "_sys")
+    __slots__ = ("field", "dim", "free_gens", "integral_gens", "_nf")
 
     def __init__(self, field: Field, dim: int,
                  free_gens: Sequence[Vector] = (),
@@ -94,9 +67,10 @@ class MixedModule:
                 raise ValueError("generator from a different field")
         self.field = field
         self.dim = dim
-        free = _independent_subset(field, [_groom_free(field, v) for v in free_gens])
+        free = [_groom_free(field, v) for v in free_gens]
+        free = [free[i] for i in independent_indices(field, free)]
         self.free_gens = tuple(free)
-        groomed = [_groom_integral(field, v) for v in integral_gens]
+        groomed = [v.groomed() for v in integral_gens]
         if free:
             free_basis = orthogonalize(free, field=field)
             kept = []
@@ -106,9 +80,8 @@ class MixedModule:
                     kept.append(g)
         else:
             kept = [g for g in groomed if not g.is_zero]
-        self.integral_gens = tuple(_independent_subset(field, kept))
+        self.integral_gens = tuple(kept[i] for i in independent_indices(field, kept))
         self._nf = None
-        self._sys = None
 
     # cached presentations ---------------------------------------------------
 
@@ -125,23 +98,9 @@ class MixedModule:
             self._nf = (free_basis, int_basis)
         return self._nf
 
-    def system(self) -> ScaleSystem:
-        if self._sys is None:
-            cols = list(self.free_gens) + list(self.integral_gens)
-            G = Matrix.from_cols(self.field, cols, nrows=self.dim)
-            scales = [FREE] * len(self.free_gens) + [INTEGRAL] * len(self.integral_gens)
-            self._sys = ScaleSystem(G, scales)
-        return self._sys
-
     # membership -------------------------------------------------------------
 
     def member(self, x: Vector) -> bool:
-        """Membership decided through the scale-constrained solver."""
-        if x.dim != self.dim:
-            raise DimensionError("point dimension mismatch")
-        return self.system().solve_box(x) is not None
-
-    def member_nf(self, x: Vector) -> bool:
         """Membership decided through the cached normal form."""
         if x.dim != self.dim:
             raise DimensionError("point dimension mismatch")
@@ -293,12 +252,7 @@ def radon_point(points: Sequence[Vector]) -> RadonCertificate:
     if not ker:
         raise AssertionError("affine dependency must exist for d+2 points")
     a = ker[0]
-    best = 0
-    best_val = a[0].val()
-    for i in range(1, n):
-        v = a[i].val()
-        if v < best_val:
-            best, best_val = i, v
+    best = least_valuation_index(a.coords)
     pivot = a[best]
     coeffs = [-(a[j] / pivot) for j in range(n) if j != best]
     return RadonCertificate(best, coeffs)
@@ -345,10 +299,6 @@ def caratheodory_reduce(points: Sequence[Vector]) -> List[Vector]:
 # ---------------------------------------------------------------------------
 # comparisons
 
-def _module_has(module: MixedModule, x: Vector) -> bool:
-    return module.member_nf(x)
-
-
 def subset(c1: ConvexSet, c2: ConvexSet) -> bool:
     """Whether c1 is contained in c2.
 
@@ -371,7 +321,7 @@ def subset(c1: ConvexSet, c2: ConvexSet) -> bool:
         if not m2.contains_line(v):
             return False
     for g in c1.module.integral_gens:
-        if not _module_has(m2, g):
+        if not m2.member(g):
             return False
     return True
 

@@ -532,16 +532,8 @@ def _pord(a) -> int:
     raise ValueError("zero polynomial has no order")
 
 
-_ONE_POLY_CACHE = {}
-
-
 def _pone(F):
-    key = F.char
-    got = _ONE_POLY_CACHE.get(key)
-    if got is None:
-        got = (F.one,)
-        _ONE_POLY_CACHE[key] = got
-    return got
+    return (F.one,)
 
 
 def _rf_canon(F, num, den):

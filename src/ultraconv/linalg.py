@@ -4,8 +4,11 @@ Everything here is generic over :class:`~ultraconv.field.Field` elements and
 works by fraction-free-style exact elimination (divisions are exact in the
 field).  On top of plain solving this module provides:
 
+* ``independent_indices``: the one dependency-drop rule (drop the
+  coefficient of least valuation in the first kernel vector), which keeps
+  both the K-span and the O-span of a list of vectors,
 * ``orthogonalize``: a valuation-orthogonal basis of the O-span of a list of
-  vectors, built by valuation-pivoted elimination,
+  vectors, built by valuation-pivoted elimination after that rule,
 * ``constrained_kernel`` / ``mixed_solve``: kernels and affine systems where
   a chosen subset of coordinates is constrained to the valuation ring O.
 """
@@ -151,10 +154,6 @@ class Matrix:
                 raise DimensionError("columns of unequal dimension")
         rows = [tuple(c[i] for c in cols) for i in range(m)]
         return cls(field, rows)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [Vector.unit(field, n, i).coords for i in range(n)])
 
     def row(self, i: int) -> Vector:
         return Vector(self.field, self.entries[i])
@@ -348,25 +347,29 @@ class OrthoBasis:
         return tuple(sorted(self.gammas))
 
 
-def _drop_one_dependency(field: Field, work: List[dict]) -> bool:
-    """Find one linear dependency among the working vectors and drop the
-    entry whose dependency coefficient has minimal valuation (lowest index
-    on ties).  Returns True when a drop happened."""
-    if not work:
-        return False
-    A = Matrix.from_cols(field, [w["vec"] for w in work], nrows=work[0]["vec"].dim)
-    ker = LinearSolver(A).kernel()
-    if not ker:
-        return False
-    a = ker[0]
-    best = None
-    best_val = None
-    for i, c in enumerate(a.coords):
-        v = c.val()
-        if best is None or v < best_val:
-            best, best_val = i, v
-    del work[best]
-    return True
+def least_valuation_index(items: Sequence) -> int:
+    """Index of the item (field element or vector) of least valuation,
+    lowest index on ties."""
+    return min(range(len(items)), key=lambda i: items[i].val())
+
+
+def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
+    """Indices of a maximal linearly independent sublist.
+
+    The drop rule: while the kept vectors are dependent, take the first
+    kernel vector of their column matrix and drop the vector whose
+    coefficient has least valuation (lowest index on ties).  Dividing the
+    dependency by that coefficient writes the dropped vector as an
+    O-combination of the others, so both the K-span and the O-span are kept.
+    """
+    keep = list(range(len(vectors)))
+    while keep:
+        A = Matrix.from_cols(field, [vectors[i] for i in keep], nrows=vectors[0].dim)
+        ker = LinearSolver(A).kernel()
+        if not ker:
+            break
+        del keep[least_valuation_index(ker[0].coords)]
+    return keep
 
 
 def _orthogonalize_tracked(field: Field, vectors: Sequence[Vector]):
@@ -383,29 +386,20 @@ def _orthogonalize_tracked(field: Field, vectors: Sequence[Vector]):
     else:
         dim = 0
     n = len(vectors)
+    # eliminating with a chosen vector keeps the rest independent, so the
+    # dependent entries are absorbed once, up front
     work = [
-        {"vec": v, "expr": list(Vector.unit(field, n, i).coords)}
-        for i, v in enumerate(vectors)
+        {"vec": vectors[i], "expr": list(Vector.unit(field, n, i).coords)}
+        for i in independent_indices(field, vectors)
     ]
     out_vecs: List[Vector] = []
     out_pivots: List[int] = []
     out_gammas: List[int] = []
     out_exprs: List[List[FieldElement]] = []
     while work:
-        # absorb dependent entries until the family is linearly independent
-        while _drop_one_dependency(field, work):
-            pass
-        if not work:
-            break
-        # select the entry of minimal vector valuation, lowest index on ties
-        sel = 0
-        sel_val = work[0]["vec"].val()
-        for i in range(1, len(work)):
-            v = work[i]["vec"].val()
-            if v < sel_val:
-                sel, sel_val = i, v
-        chosen = work.pop(sel)
+        chosen = work.pop(least_valuation_index([w["vec"] for w in work]))
         u = chosen["vec"]
+        sel_val = u.val()
         gamma = sel_val.value
         # pivot: least coordinate index realizing the vector valuation
         pivot = next(i for i, a in enumerate(u.coords) if a.val() == sel_val)

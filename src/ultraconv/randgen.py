@@ -186,8 +186,3 @@ class Sampler:
             offset = self.module_point(module)
             members.append(ConvexSet.of(hidden - offset, module))
         return Family(self.field, d, members), hidden
-
-    def random_family(self, n: int, d: int) -> "Family":
-        from .combinatorics import Family
-
-        return Family(self.field, d, [self.convex_set(d) for _ in range(n)])

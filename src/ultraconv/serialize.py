@@ -72,6 +72,8 @@ def convex_from_json(field: Field, data: Any, dim: Optional[int] = None) -> Conv
         d = data.get("dim", dim)
         if d is None:
             raise PayloadError("empty set needs an ambient dimension from context")
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise PayloadError(f"'dim' must be a positive integer, got {d!r}")
         return ConvexSet.empty(field, d)
     if "translate" not in data:
         raise PayloadError("a nonempty convex set needs a translate")
@@ -86,18 +88,27 @@ def family_to_json(fam: Family) -> List[Dict[str, Any]]:
     return [convex_to_json(m) for m in fam.members]
 
 
+def _stated_dim(data: Any) -> Any:
+    """The dimension a set payload states, if any: the length of a nonempty
+    set's translate, or an empty set's ``dim``."""
+    if not isinstance(data, dict):
+        return None
+    if data.get("empty"):
+        return data.get("dim")
+    translate = data.get("translate")
+    return len(translate) if isinstance(translate, list) else None
+
+
 def family_from_json(field: Field, data: Any, dim: Optional[int] = None) -> Family:
+    """A family whose dimension is ``dim`` or else the first one a member
+    states; empty members that state none take it."""
     if not isinstance(data, list):
         raise PayloadError("a family must be an array of convex sets")
-    members = []
-    for item in data:
-        members.append(convex_from_json(field, item, dim))
-        if dim is None and not members[-1].is_empty:
-            dim = members[-1].dim
+    if dim is None:
+        dim = next((d for d in map(_stated_dim, data) if d is not None), None)
     if dim is None:
         raise PayloadError("cannot infer the ambient dimension of the family")
-    fixed = [m if not m.is_empty else ConvexSet.empty(field, dim) for m in members]
-    return Family(field, dim, fixed)
+    return Family(field, dim, [convex_from_json(field, item, dim) for item in data])
 
 
 def _delta_to_json(delta) -> Any:

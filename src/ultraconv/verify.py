@@ -12,14 +12,15 @@ import math
 import zlib
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
-from .field import Field, INFINITY
+from .field import Field, FieldElement, INFINITY
 from .linalg import (
     FREE,
     INTEGRAL,
     LinearSolver,
     Matrix,
+    ScaleSystem,
     Vector,
     constrained_kernel,
     mixed_solve,
@@ -398,12 +399,16 @@ def prop_caratheodory_equality(field: Field, seed: int, trials: int) -> Property
 
 
 def prop_flag_membership_agreement(field: Field, seed: int, trials: int) -> PropertyResult:
-    """Solver-based membership agrees with flag-coordinate membership."""
+    """Normal-form membership agrees with flag-coordinate membership and
+    with a scale-constrained solve over the module's generators."""
     res = PropertyResult("flag_membership_agreement", trials)
     s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         c = s.convex_set(d)
         flag = flag_decompose(c)
+        m = c.module
+        G = Matrix.from_cols(field, m.free_gens + m.integral_gens, nrows=d)
+        system = ScaleSystem(G, [FREE] * len(m.free_gens) + [INTEGRAL] * len(m.integral_gens))
         gs = [g for g in flag.gamma_multiset()]
         if gs != sorted(gs):
             res.record(f"trial {t}: flag weights out of order")
@@ -412,9 +417,10 @@ def prop_flag_membership_agreement(field: Field, seed: int, trials: int) -> Prop
                 x = c.translate + s.module_point(c.module)
             else:
                 x = s.vector(d)
-            via_solver = c.contains(x)
+            via_nf = c.contains(x)
             via_flag = flag.member(x - c.translate)
-            if via_solver != via_flag:
+            via_scale = system.solve_box(x - c.translate) is not None
+            if not (via_nf == via_flag == via_scale):
                 res.record(f"trial {t}: membership disagreement at {x!r}")
                 break
     return res
@@ -530,23 +536,29 @@ def prop_largest_inner_ball(field: Field, seed: int, trials: int) -> PropertyRes
     return res
 
 
+def two_term_counterexample() -> Tuple[List[Vector], List[FieldElement], Vector]:
+    """The fixed 2-adic points (0,0,0), (1,0,0), (0,1,1), the weights
+    (-1, 1, 1) and the combination they give."""
+    f = Field.padic(2)
+    pts = [Vector.from_ints(f, row) for row in ([0, 0, 0], [1, 0, 0], [0, 1, 1])]
+    weights = [f.from_int(-1), f.one, f.one]
+    combo = Vector.zero(f, 3)
+    for w, p in zip(weights, pts):
+        combo = combo + p.scale(w)
+    return pts, weights, combo
+
+
 def check_two_term_counterexample() -> bool:
     """Closure under pairwise ring combinations does not force convexity:
     over the 2-adics, the union of coordinate slabs
     {a in O^3 : some a_i in the maximal ideal} contains
     (0,0,0), (1,0,0), (0,1,1) and every pairwise combination of them, yet
     the 3-term combination with weights (-1, 1, 1) lands on (1,1,1) outside."""
-    f = Field.padic(2)
-
     def in_set(v: Vector) -> bool:
         return all(a.is_integral for a in v.coords) and any(a.val() > 0 for a in v.coords)
 
-    pts = [
-        Vector.from_ints(f, [0, 0, 0]),
-        Vector.from_ints(f, [1, 0, 0]),
-        Vector.from_ints(f, [0, 1, 1]),
-    ]
-    weights = [f.from_int(-1), f.one, f.one]
+    pts, weights, combo = two_term_counterexample()
+    f = combo.field
     if not all(in_set(p) for p in pts):
         return False
     if not all(w.is_integral for w in weights):
@@ -556,9 +568,6 @@ def check_two_term_counterexample() -> bool:
         total = total + w
     if total != f.one:
         return False
-    combo = Vector.zero(f, 3)
-    for w, p in zip(weights, pts):
-        combo = combo + p.scale(w)
     if combo != Vector.from_ints(f, [1, 1, 1]):
         return False
     return not in_set(combo)

@@ -164,6 +164,33 @@ def test_usage_errors_exit_2():
     assert code == EXIT_USAGE
 
 
+def test_empty_set_dim_must_be_a_positive_integer():
+    for dim in ("x", -3, 0, True):
+        payload = {"set": {"empty": True, "dim": dim}, "point": ["0"]}
+        code, out = run(["member"], json.dumps(payload))
+        assert code == EXIT_USAGE and out == "", dim
+
+
+def test_family_dimension_comes_from_first_member_stating_one():
+    empty = {"empty": True, "dim": 2}
+    code, report = run_json(["helly"], {"family": [empty, empty]})
+    assert code == EXIT_OK and report == {"point": None}
+    origin = {"translate": ["0", "0"], "free": [], "integral": []}
+    code, report = run_json(["helly"], {"family": [{"empty": True}, origin]})
+    assert code == EXIT_OK and report == {"point": None}
+    # a member stating another dimension is rejected, not resized
+    code, _ = run_json(["helly"], {"family": [{"empty": True, "dim": 3}, origin]})
+    assert code == EXIT_USAGE
+
+
+def test_non_positive_counts_exit_2():
+    for argv in (["verify", "--trials", "-5"], ["verify", "--trials", "0"],
+                 ["witness", "helly", "--dim", "-1"], ["witness", "helly", "--dim", "0"],
+                 ["witness", "frachelly", "--count", "0"]):
+        code, out = run(argv)
+        assert code == EXIT_USAGE and out == "", argv
+
+
 def test_violation_exit_1_on_empty_breadth():
     fam = [{"translate": ["0"], "free": [], "integral": []},
            {"translate": ["1"], "free": [], "integral": []}]

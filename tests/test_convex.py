@@ -3,7 +3,7 @@
 import pytest
 
 from ultraconv.field import Field
-from ultraconv.linalg import Vector
+from ultraconv.linalg import FREE, INTEGRAL, Matrix, Vector, mixed_solve
 from ultraconv.convex import (
     FULL,
     ConvexSet,
@@ -276,6 +276,27 @@ def test_module_membership_mixes_free_and_integral():
                       [Vector.from_ints(f, [0, 2])])
     assert mod.member(Vector(f, [f.fraction(3, 16), f.from_int(6)]))
     assert not mod.member(Vector(f, [f.zero, f.one]))
+
+
+@pytest.mark.parametrize("sel", ["padic:2", "ratfunc:3"])
+def test_module_membership_matches_scale_constrained_solve(sel):
+    # the normal-form membership against a scale-constrained solve over the
+    # module's own generators
+    from ultraconv.randgen import Sampler
+    f = Field.from_selector(sel)
+    s = Sampler(f, 2718281)
+    seen = set()
+    for t in range(12):
+        d = 1 + t % 3
+        mod = s.module(d, max_free=1)
+        G = Matrix.from_cols(f, mod.free_gens + mod.integral_gens, nrows=d)
+        scales = [FREE] * len(mod.free_gens) + [INTEGRAL] * len(mod.integral_gens)
+        for i in range(6):
+            x = s.module_point(mod) if i % 2 == 0 else s.vector(d)
+            got = mod.member(x)
+            assert got == (mixed_solve(G, scales, x) is not None), f"module {t}, probe {i}"
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_module_generator_grooming_is_invisible():
