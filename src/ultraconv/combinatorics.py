@@ -10,25 +10,23 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from .field import Field, FieldElement
+from .field import Field
 from .convex import (
     FULL,
     ConvexSet,
     DimensionError,
     MixedModule,
-    RadonCertificate,
     TooFewPointsError,
     caratheodory_indices,
     conv_hull,
     equals,
     intersect,
     quasi_ball,
-    radon_point,
     subset,
 )
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 
 class EmptyIntersectionError(ValueError):

@@ -11,7 +11,7 @@ presentations of the module part.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .field import Field, FieldElement
 from .linalg import (
@@ -114,10 +114,6 @@ class MixedModule:
         _, rest = free_basis.reduce(v)
         return rest.is_zero
 
-    @property
-    def is_zero_module(self) -> bool:
-        return not self.free_gens and not self.integral_gens
-
 
 class ConvexSet:
     """Either empty, or translate + module."""
@@ -157,10 +153,10 @@ class ConvexSet:
         return self.translate
 
     def contains(self, x: Vector) -> bool:
-        if self.is_empty:
-            return False
         if x.dim != self.dim:
             raise DimensionError("point dimension mismatch")
+        if self.is_empty:
+            return False
         return self.module.member(x - self.translate)
 
     def translate_by(self, a: Vector) -> "ConvexSet":
@@ -308,12 +304,12 @@ def subset(c1: ConvexSet, c2: ConvexSet) -> bool:
     this: a module like O * u/p^2 absorbs the scalings u/p and u/p^2 of u
     without containing the line K*u.)
     """
+    if c1.dim != c2.dim:
+        raise DimensionError("ambient dimension mismatch")
     if c1.is_empty:
         return True
     if c2.is_empty:
         return False
-    if c1.dim != c2.dim:
-        raise DimensionError("ambient dimension mismatch")
     if not c2.contains(c1.translate):
         return False
     m2 = c2.module
@@ -360,12 +356,12 @@ def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
     two modules; the common point and the intersection module are read off
     a scale-constrained system over the concatenated generators.
     """
+    if c1.dim != c2.dim or c1.field != c2.field:
+        raise DimensionError("cannot intersect sets from different ambients")
     if c1.is_empty:
         return c1
     if c2.is_empty:
         return c2
-    if c1.dim != c2.dim or c1.field != c2.field:
-        raise DimensionError("cannot intersect sets from different ambients")
     field, d = c1.field, c1.dim
     m1, m2 = c1.module, c2.module
     cols: List[Vector] = []

@@ -6,8 +6,18 @@ Two field backends share one element interface:
   Elements are reduced fractions of arbitrary-precision integers.
 * ``Field.ratfunc(char)``: rational functions in one variable ``t`` with the
   order-of-vanishing valuation at ``t = 0``.  Coefficients live in Q when the
-  characteristic is 0 and in the prime field F_q otherwise.  Canonical form
-  keeps numerator and denominator coprime with a monic denominator.
+  characteristic is 0 and in the prime field F_q otherwise.  An element is a
+  pair of coprime polynomials with integer coefficients, in one of two
+  normal forms:
+
+  - over F_q, residues 0..q-1 and a monic denominator;
+  - over Q, integers with no common factor across numerator and
+    denominator, and a denominator with positive leading coefficient.
+
+  Both characteristics share one set of operations; only the coefficient
+  class (gcd, exact division, normal form, reduction) differs.  The text
+  grammar and rendering do not depend on the storage: text shows the
+  denominator monic, with fraction coefficients in characteristic 0.
 
 Elements are immutable; all operations are pure and exact.
 """
@@ -193,94 +203,11 @@ def _int_val(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# coefficient arithmetic for the rational function backend
+# polynomial arithmetic for the rational function backend
 
-class _RationalCoeffs:
-    """Coefficients in Q."""
-
-    char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("division by zero coefficient")
-        return 1 / a
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def ratio(self, a: int, b: int):
-        if b == 0:
-            raise ZeroDivisionError("zero denominator in coefficient")
-        return Fraction(a, b)
-
-    def render(self, c) -> str:
-        return str(c)
-
-    def is_negative(self, c) -> bool:
-        return c < 0
-
-    def abs(self, c):
-        return -c if c < 0 else c
-
-
-class _PrimeCoeffs:
-    """Coefficients in the prime field F_q, stored as residues 0..q-1."""
-
-    def __init__(self, q: int):
-        self.char = q
-        self.zero = 0
-        self.one = 1 % q
-
-    def add(self, a, b):
-        return (a + b) % self.char
-
-    def sub(self, a, b):
-        return (a - b) % self.char
-
-    def mul(self, a, b):
-        return (a * b) % self.char
-
-    def neg(self, a):
-        return (-a) % self.char
-
-    def inv(self, a):
-        a %= self.char
-        if a == 0:
-            raise ZeroDivisionError("division by zero coefficient")
-        return pow(a, self.char - 2, self.char)
-
-    def from_int(self, n: int):
-        return n % self.char
-
-    def ratio(self, a: int, b: int):
-        return self.mul(self.from_int(a), self.inv(self.from_int(b)))
-
-    def render(self, c) -> str:
-        return str(c)
-
-    def is_negative(self, c) -> bool:
-        return False
-
-    def abs(self, c):
-        return c
-
-
-# Polynomials are tuples of coefficients, lowest degree first, with no
-# trailing zeros; () is the zero polynomial.
+# Polynomials are tuples of integer coefficients, lowest degree first, with
+# no trailing zeros; () is the zero polynomial.  Sums and products are plain
+# integer loops; the coefficient class then reduces them.
 
 def _ptrim(cs) -> tuple:
     n = len(cs)
@@ -289,56 +216,22 @@ def _ptrim(cs) -> tuple:
     return tuple(cs[:n])
 
 
-def _padd(F, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return _ptrim(out)
-
-
-def _pneg(F, a):
-    return tuple(F.neg(c) for c in a)
-
-
-def _psub(F, a, b):
-    return _padd(F, a, _pneg(F, b))
-
-
-def _pmul(F, a, b):
+def _pmul(a, b) -> list:
     if not a or not b:
-        return ()
-    out = [F.zero] * (len(a) + len(b) - 1)
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-    return _ptrim(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
-def _pscale(F, a, c):
-    return _ptrim([F.mul(x, c) for x in a])
-
-
-def _pdivmod(F, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [F.zero] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    inv_lead = F.inv(b[-1])
-    while len(r) >= len(b):
-        if not r[-1]:
-            r.pop()
-            continue
-        k = len(r) - len(b)
-        c = F.mul(r[-1], inv_lead)
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] = F.sub(r[k + i], F.mul(c, cb))
-        r.pop()
-    return _ptrim(q), _ptrim(r)
+def _pord(a) -> int:
+    for i, c in enumerate(a):
+        if c:
+            return i
+    raise ValueError("zero polynomial has no order")
 
 
 def _zprimitive(cs):
@@ -369,15 +262,6 @@ def _zprem(A, B):
     while R and R[-1] == 0:
         R.pop()
     return R
-
-
-def _zmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
 
 
 def _zgcd(A, B):
@@ -411,152 +295,108 @@ def _zdiv_exact(A, G):
             for i in range(dG):
                 R[k + i] -= q * G[i]
             R[k + dG] = 0
-    while Q and Q[-1] == 0:
-        Q.pop()
-    return Q
+    return _ptrim(Q)
 
 
-def _q_to_z(poly):
-    """(primitive positive-lead integer polynomial, Fraction scale) with
-    value scale * poly; input is a nonzero Fraction-coefficient tuple."""
-    lcm = 1
-    for c in poly:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    zs = [int(c * lcm) for c in poly]
-    g = 0
-    for z in zs:
-        g = math.gcd(g, z)
-    if zs[-1] < 0:
-        g = -g
-    return [z // g for z in zs], Fraction(g, lcm)
+class _IntegerCoeffs:
+    """Coefficients in Q, held as integers: a payload's numerator and
+    denominator have no common integer factor, and the denominator's
+    leading coefficient is positive."""
+
+    char = 0
+
+    def reduce(self, cs) -> tuple:
+        return _ptrim(cs)
+
+    gcd = staticmethod(_zgcd)
+    div_exact = staticmethod(_zdiv_exact)
+
+    def normal(self, num, den):
+        g = math.gcd(*num, *den)
+        if den[-1] < 0:
+            g = -g
+        if g == 1:
+            return num, den
+        return tuple(c // g for c in num), tuple(c // g for c in den)
+
+    def inv(self, c):
+        return Fraction(1, c)
+
+    def ratio(self, a: int, b: int):
+        return Fraction(a, b)
 
 
-def _z_canon(N, D, scale):
-    """Canonical payload for value scale * N / D, with N and D coprime
-    integer polynomials and D nonzero."""
-    if not N or not scale:
-        return (), (Fraction(1),)
-    dl = D[-1]
-    s = scale / dl
-    return tuple(s * c for c in N), tuple(Fraction(c, dl) for c in D)
+class _PrimeCoeffs:
+    """Coefficients in the prime field F_q, held as residues 0..q-1; a
+    payload's denominator is monic."""
+
+    def __init__(self, q: int):
+        self.char = q
+
+    def reduce(self, cs) -> tuple:
+        q = self.char
+        return _ptrim([c % q for c in cs])
+
+    def _divmod(self, a, b):
+        q = self.char
+        inv_lead = pow(b[-1], -1, q)
+        quo = [0] * max(0, len(a) - len(b) + 1)
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] * inv_lead % q
+            if c:
+                k = len(r) - len(b)
+                quo[k] = c
+                for i, cb in enumerate(b):
+                    r[k + i] = (r[k + i] - c * cb) % q
+            r.pop()
+        return _ptrim(quo), _ptrim(r)
+
+    def gcd(self, a, b):
+        """Monic gcd of two nonzero polynomials, by Euclid's algorithm."""
+        while b:
+            a, b = b, self._divmod(a, b)[1]
+        c = pow(a[-1], -1, self.char)
+        return self.reduce([x * c for x in a])
+
+    def div_exact(self, a, g):
+        return self._divmod(a, g)[0]
+
+    def normal(self, num, den):
+        c = pow(den[-1], -1, self.char)
+        if c == 1:
+            return num, den
+        return self.reduce([x * c for x in num]), self.reduce([x * c for x in den])
+
+    def inv(self, c):
+        if not c % self.char:
+            raise ZeroDivisionError("division by zero coefficient")
+        return pow(c, -1, self.char)
+
+    def ratio(self, a: int, b: int):
+        return a * self.inv(b) % self.char
 
 
-def _q_mul(a, b):
-    if not a[0] or not b[0]:
-        return (), (Fraction(1),)
-    N1, s1 = _q_to_z(a[0])
-    D1, u1 = _q_to_z(a[1])
-    N2, s2 = _q_to_z(b[0])
-    D2, u2 = _q_to_z(b[1])
-    g = _zgcd(N1, D2)
-    if len(g) > 1:
-        N1 = _zdiv_exact(N1, g)
-        D2 = _zdiv_exact(D2, g)
-    g = _zgcd(N2, D1)
-    if len(g) > 1:
-        N2 = _zdiv_exact(N2, g)
-        D1 = _zdiv_exact(D1, g)
-    return _z_canon(_zmul(N1, N2), _zmul(D1, D2), (s1 * s2) / (u1 * u2))
-
-
-def _q_addsub(a, b, sign):
-    if not b[0]:
-        return a
-    if not a[0]:
-        if sign > 0:
-            return b
-        return tuple(-c for c in b[0]), b[1]
-    N1, s1 = _q_to_z(a[0])
-    B, u1 = _q_to_z(a[1])
-    N2, s2 = _q_to_z(b[0])
-    D, u2 = _q_to_z(b[1])
-    p1 = s1 / u1
-    p2 = (s2 / u2) * sign
-    t = _zgcd(B, D)
-    if len(t) > 1:
-        Bp = _zdiv_exact(B, t)
-        Dp = _zdiv_exact(D, t)
-    else:
-        Bp, Dp = B, D
-    # a + b = [p1*N1*Dp + p2*N2*Bp] / (t*Bp*Dp); shared factors sit in t only
-    y1, y2 = p1.denominator, p2.denominator
-    left = _zmul(N1, Dp)
-    right = _zmul(N2, Bp)
-    w1 = p1.numerator * y2
-    w2 = p2.numerator * y1
-    E = [0] * max(len(left), len(right))
-    for i, c in enumerate(left):
-        E[i] = w1 * c
-    for i, c in enumerate(right):
-        E[i] += w2 * c
-    while E and E[-1] == 0:
-        E.pop()
-    if not E:
-        return (), (Fraction(1),)
-    if len(t) > 1:
-        g = _zgcd(E, t)
-        if len(g) > 1:
-            E = _zdiv_exact(E, g)
-            t = _zdiv_exact(t, g)
-    den = _zmul(t, _zmul(Bp, Dp))
-    return _z_canon(E, den, Fraction(1, y1 * y2))
-
-
-def _pgcd_q(a, b):
-    """Monic gcd of two nonzero polynomials with Fraction coefficients."""
-    A, _ = _q_to_z(a)
-    B, _ = _q_to_z(b)
-    G = _zgcd(A, B)
-    lead = G[-1]
-    return tuple(Fraction(c, lead) for c in G)
-
-
-def _pgcd(F, a, b):
-    """Monic gcd; gcd(0, 0) = 0."""
-    if not a or not b:
-        base = a or b
-        if not base:
-            return ()
-        return _pscale(F, base, F.inv(base[-1]))
-    if F.char == 0:
-        return _pgcd_q(a, b)
-    while b:
-        a, b = b, _pdivmod(F, a, b)[1]
-    return _pscale(F, a, F.inv(a[-1]))
-
-
-def _pord(a) -> int:
-    for i, c in enumerate(a):
-        if c:
-            return i
-    raise ValueError("zero polynomial has no order")
-
-
-def _pone(F):
-    return (F.one,)
+_RF_ZERO = ((), (1,))
 
 
 def _rf_canon(F, num, den):
-    """Reduce to coprime numerator and monic denominator."""
-    num = _ptrim(num)
-    den = _ptrim(den)
+    """Canonical payload of num / den.  In characteristic 0 the
+    coefficients may be fractions; they are cleared first."""
+    lcm = math.lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+    num = F.reduce([c.numerator * (lcm // c.denominator) for c in num])
+    den = F.reduce([c.numerator * (lcm // c.denominator) for c in den])
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return (), _pone(F)
-    g = _pgcd(F, num, den)
+        return _RF_ZERO
+    g = F.gcd(num, den)
     if len(g) > 1:
-        num = _pdivmod(F, num, g)[0]
-        den = _pdivmod(F, den, g)[0]
-    lead = den[-1]
-    if lead != F.one:
-        c = F.inv(lead)
-        num = _pscale(F, num, c)
-        den = _pscale(F, den, c)
-    return num, den
+        num, den = F.div_exact(num, g), F.div_exact(den, g)
+    return F.normal(num, den)
 
 
-def _poly_render(F, a) -> str:
+def _poly_render(a) -> str:
     if not a:
         return "0"
     parts = []
@@ -564,20 +404,22 @@ def _poly_render(F, a) -> str:
         c = a[exp]
         if not c:
             continue
-        neg = F.is_negative(c)
-        mag = F.abs(c)
+        mag = -c if c < 0 else c
         if exp == 0:
-            body = F.render(mag)
-        elif mag == F.one:
+            body = str(mag)
+        elif mag == 1:
             body = "t" if exp == 1 else f"t^{exp}"
         else:
             tpart = "t" if exp == 1 else f"t^{exp}"
-            body = f"{F.render(mag)}*{tpart}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("-" if neg else "+") + body)
+            body = f"{mag}*{tpart}"
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
     return "".join(parts)
+
+
+# Largest power of t accepted in element text: polynomials are stored
+# densely, so a larger exponent would cost memory out of proportion to the
+# text.
+MAX_EXPONENT = 1024
 
 
 class _PolyParser:
@@ -615,16 +457,24 @@ class _PolyParser:
             d = self.parse_uint()
             if d == 0:
                 raise ParseError("zero denominator in coefficient", self.i - 1)
-            c = self.F.ratio(n, d)
+            try:
+                c = self.F.ratio(n, d)
+            except ZeroDivisionError:
+                raise ParseError(f"coefficient denominator {d} is zero in "
+                                 f"characteristic {self.F.char}", self.i - 1) from None
         else:
-            c = self.F.from_int(n)
-        return self.F.neg(c) if sign < 0 else c
+            c = n
+        return -c if sign < 0 else c
 
     def parse_tpart(self) -> int:
         self.expect("t")
         if self.peek() == "^":
             self.i += 1
-            return self.parse_uint()
+            start = self.i
+            exp = self.parse_uint()
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", start)
+            return exp
         return 1
 
     def parse_poly(self) -> tuple:
@@ -645,7 +495,7 @@ class _PolyParser:
             ch = self.peek()
             if ch == "t":
                 exp = self.parse_tpart()
-                c = self.F.neg(self.F.one) if sign < 0 else self.F.one
+                c = sign
             elif ch.isdigit():
                 c = self.parse_coeff(sign)
                 exp = 0
@@ -654,17 +504,17 @@ class _PolyParser:
                     exp = self.parse_tpart()
             else:
                 raise ParseError("expected a term", self.i)
-            coeffs[exp] = self.F.add(coeffs.get(exp, self.F.zero), c)
+            coeffs[exp] = coeffs.get(exp, 0) + c
             first = False
             ch = self.peek()
             if ch not in ("+", "-"):
                 break
         if not coeffs:
             raise ParseError("empty polynomial", self.i)
-        out = [self.F.zero] * (max(coeffs) + 1)
+        out = [0] * (max(coeffs) + 1)
         for exp, c in coeffs.items():
             out[exp] = c
-        return _ptrim(out)
+        return self.F.reduce(out)
 
 
 # ---------------------------------------------------------------------------
@@ -776,51 +626,70 @@ class _PadicOps:
 
 class _RatFuncOps:
     """Operations on (numerator, denominator) polynomial payloads with the
-    order-at-zero valuation."""
+    order-at-zero valuation.
+
+    Operands are canonical, so numerator and denominator are coprime and
+    only the factors that Henrici's rules name can cancel: across the two
+    fractions of a product, and in a sum only the gcd of the denominators.
+    """
 
     def __init__(self, coeffs):
         self.F = coeffs
-        self.zero_pl = ((), _pone(coeffs))
-        self.one_pl = (_pone(coeffs), _pone(coeffs))
 
     def add(self, a, b):
+        if not a[0]:
+            return b
+        if not b[0]:
+            return a
         F = self.F
-        if F.char == 0:
-            return _q_addsub(a, b, 1)
-        num = _padd(F, _pmul(F, a[0], b[1]), _pmul(F, b[0], a[1]))
-        return _rf_canon(F, num, _pmul(F, a[1], b[1]))
+        (N1, B), (N2, D) = a, b
+        t = F.gcd(B, D)
+        if len(t) > 1:
+            B, D = F.div_exact(B, t), F.div_exact(D, t)
+        # a + b = (N1*D + N2*B) / (t*B*D); a shared factor can only sit in t
+        E, right = _pmul(N1, D), _pmul(N2, B)
+        if len(E) < len(right):
+            E, right = right, E
+        for i, c in enumerate(right):
+            E[i] += c
+        E = F.reduce(E)
+        if not E:
+            return _RF_ZERO
+        if len(t) > 1:
+            g = F.gcd(E, t)
+            if len(g) > 1:
+                E, t = F.div_exact(E, g), F.div_exact(t, g)
+        return F.normal(E, F.reduce(_pmul(t, _pmul(B, D))))
 
     def sub(self, a, b):
-        F = self.F
-        if F.char == 0:
-            return _q_addsub(a, b, -1)
-        num = _psub(F, _pmul(F, a[0], b[1]), _pmul(F, b[0], a[1]))
-        return _rf_canon(F, num, _pmul(F, a[1], b[1]))
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        (N1, D1), (N2, D2) = a, b
+        if not N1 or not N2:
+            return _RF_ZERO
         F = self.F
-        if F.char == 0:
-            return _q_mul(a, b)
-        return _rf_canon(F, _pmul(F, a[0], b[0]), _pmul(F, a[1], b[1]))
+        g = F.gcd(N1, D2)
+        if len(g) > 1:
+            N1, D2 = F.div_exact(N1, g), F.div_exact(D2, g)
+        g = F.gcd(N2, D1)
+        if len(g) > 1:
+            N2, D1 = F.div_exact(N2, g), F.div_exact(D1, g)
+        return F.normal(F.reduce(_pmul(N1, N2)), F.reduce(_pmul(D1, D2)))
 
     def div(self, a, b):
         if not b[0]:
             raise ZeroDivisionError("division by zero field element")
-        F = self.F
-        if F.char == 0:
-            return _q_mul(a, (b[1], b[0]))
-        return _rf_canon(F, _pmul(F, a[0], b[1]), _pmul(F, a[1], b[0]))
+        return self.mul(a, (b[1], b[0]))
 
     def neg(self, a):
-        return (_pneg(self.F, a[0]), a[1])
+        return (self.F.reduce([-c for c in a[0]]), a[1])
 
     def inv(self, a):
-        # canonical operands are coprime already, so only re-monicize
+        # canonical operands are coprime already, so only renormalise
         if not a[0]:
             raise ZeroDivisionError("inverse of zero field element")
-        F = self.F
-        c = F.inv(a[0][-1])
-        return (_pscale(F, a[1], c), _pscale(F, a[0], c))
+        return self.F.normal(a[1], a[0])
 
     def is_zero(self, a) -> bool:
         return not a[0]
@@ -831,19 +700,22 @@ class _RatFuncOps:
         return Valuation(_pord(a[0]) - _pord(a[1]))
 
     def uniformizer_pow(self, k: int):
-        F = self.F
-        if k >= 0:
-            return (_ptrim([F.zero] * k + [F.one]), _pone(F))
-        return (_pone(F), _ptrim([F.zero] * (-k) + [F.one]))
+        tk = (0,) * abs(k) + (1,)
+        return (tk, (1,)) if k >= 0 else ((1,), tk)
 
     def from_int(self, n: int):
-        return _rf_canon(self.F, (self.F.from_int(n),), _pone(self.F))
+        return _rf_canon(self.F, (n,), (1,))
 
     def render(self, a) -> str:
         num, den = a
-        if den == _pone(self.F):
-            return _poly_render(self.F, num)
-        return f"({_poly_render(self.F, num)})/({_poly_render(self.F, den)})"
+        lead = den[-1]
+        if lead != 1:
+            # characteristic 0: print the denominator monic
+            num = [Fraction(c, lead) for c in num]
+            den = [Fraction(c, lead) for c in den]
+        if len(den) == 1:
+            return _poly_render(num)
+        return f"({_poly_render(num)})/({_poly_render(den)})"
 
     def parse(self, text: str):
         pp = _PolyParser(text, self.F)
@@ -857,26 +729,26 @@ class _RatFuncOps:
             pp.expect(")")
         else:
             num = pp.parse_poly()
-            den = _pone(self.F)
+            den = (1,)
         if pp.peek():
             raise ParseError("trailing characters", pp.i)
-        if not any(den):
+        if not den:
             raise ParseError("zero denominator", 0)
         return _rf_canon(self.F, num, den)
 
     def grooming_unit(self, payloads):
         F = self.F
-        L = _pone(F)
+        L = (1,)
         for _, d in payloads:
-            g = _pgcd(F, L, d)
-            L = _pmul(F, L, _pdivmod(F, d, g)[0]) if len(g) > 1 else _pmul(F, L, d)
-        k = _pord(L)
-        g = ()
+            g = F.gcd(L, d)
+            L = F.reduce(_pmul(L, F.div_exact(d, g) if len(g) > 1 else d))
+        g = None
         for n, d in payloads:
-            m = _pmul(F, n, _pdivmod(F, L, d)[0])
-            g = _pgcd(F, g, m)
-        g = g[_pord(g):]
-        return _rf_canon(F, L[k:], g)
+            m = F.reduce(_pmul(n, F.div_exact(L, d)))
+            g = m if g is None else F.gcd(g, m)
+        L, g = L[_pord(L):], g[_pord(g):]
+        # monic(L) / monic(g), whatever scalars the gcds carried
+        return _rf_canon(F, [c * g[-1] for c in L], [c * L[-1] for c in g])
 
     def integral_part(self, a):
         """Drop the principal part of the Laurent expansion at t = 0.
@@ -890,26 +762,21 @@ class _RatFuncOps:
         m = _pord(den)
         if m == 0:
             return a
+        # divide by increasing powers: num = P*unit + t^m*R with deg P < m,
+        # so a - P/t^m = R/unit, already in lowest terms
         F = self.F
         unit = den[m:]
         inv0 = F.inv(unit[0])
-        series = [inv0]
-        for i in range(1, m):
-            acc = F.zero
-            for j in range(1, min(i, len(unit) - 1) + 1):
-                acc = F.add(acc, F.mul(unit[j], series[i - j]))
-            series.append(F.neg(F.mul(inv0, acc)))
-        P = [F.zero] * m
-        for i, c in enumerate(num[:m]):
-            if not c:
-                continue
-            for j in range(m - i):
-                P[i + j] = F.add(P[i + j], F.mul(c, series[j]))
-        P = _ptrim(P)
-        if not P:
-            return a
-        shift = tuple([F.zero] * m) + (F.one,)
-        return self.sub(a, _rf_canon(F, P, shift))
+        R = list(num)
+        for i in range(m):
+            c = R[i] * inv0 if i < len(R) else 0
+            if c:
+                R += [0] * (i + len(unit) - len(R))
+                for j, u in enumerate(unit):
+                    R[i + j] -= c * u
+                R = list(F.reduce(R))
+        return _rf_canon(F, R[m:], unit)
+
 
 class Field:
     """A valued field context: either ``padic(p)`` or ``ratfunc(char)``.
@@ -932,7 +799,7 @@ class Field:
         elif kind == self._RATFUNC:
             if param != 0:
                 _check_prime(param, "characteristic")
-            coeffs = _RationalCoeffs() if param == 0 else _PrimeCoeffs(param)
+            coeffs = _IntegerCoeffs() if param == 0 else _PrimeCoeffs(param)
             self.ops = _RatFuncOps(coeffs)
         else:
             raise ValueError(f"unknown field kind {kind!r}")
@@ -1002,14 +869,8 @@ class Field:
         if self.kind != self._RATFUNC:
             raise ValueError("ratio() applies to rational function fields")
         F = self.ops.F
-        conv = []
-        for c in num_coeffs:
-            conv.append(F.ratio(c.numerator, c.denominator) if isinstance(c, Fraction) else F.from_int(c))
-        num = _ptrim(conv)
-        conv = []
-        for c in den_coeffs:
-            conv.append(F.ratio(c.numerator, c.denominator) if isinstance(c, Fraction) else F.from_int(c))
-        den = _ptrim(conv)
+        num = [F.ratio(c.numerator, c.denominator) for c in num_coeffs]
+        den = [F.ratio(c.numerator, c.denominator) for c in den_coeffs]
         return FieldElement(self, _rf_canon(F, num, den))
 
     def uniformizer(self) -> "FieldElement":

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .field import Field, FieldElement
 from .linalg import Vector
-from .convex import ConvexSet, MixedModule, conv_hull
+from .convex import ConvexSet, MixedModule
 
 _MASK64 = (1 << 64) - 1
 

@@ -2,13 +2,13 @@
 
 Field elements travel as grammar strings, vectors as string arrays.  A
 convex set is ``{"translate": [...], "free": [[...]], "integral": [[...]]}``
-or ``{"empty": true}``; families are arrays of convex sets.  Rendering is
-normalized for determinism only (generator lists sorted lexicographically);
-set equality is never textual.
+or ``{"empty": true, "dim": d}``; families are arrays of convex sets.
+Rendering is normalized for determinism only (generator lists sorted
+lexicographically); set equality is never textual.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .combinatorics import Family, ShatterReport, TverbergPartition
 from .convex import (
@@ -21,7 +21,7 @@ from .convex import (
     RadonCertificate,
 )
 from .field import Field
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 
 class PayloadError(ValueError):
@@ -65,10 +65,19 @@ def convex_to_json(c: ConvexSet) -> Dict[str, Any]:
     }
 
 
+def _is_empty(data: Dict[str, Any]) -> bool:
+    """Whether a set payload is the empty set; ``empty`` must be a JSON
+    boolean when present."""
+    flag = data.get("empty", False)
+    if not isinstance(flag, bool):
+        raise PayloadError(f"'empty' must be true or false, got {flag!r}")
+    return flag
+
+
 def convex_from_json(field: Field, data: Any, dim: Optional[int] = None) -> ConvexSet:
     if not isinstance(data, dict):
         raise PayloadError("a convex set must be a JSON object")
-    if data.get("empty"):
+    if _is_empty(data):
         d = data.get("dim", dim)
         if d is None:
             raise PayloadError("empty set needs an ambient dimension from context")
@@ -93,7 +102,7 @@ def _stated_dim(data: Any) -> Any:
     set's translate, or an empty set's ``dim``."""
     if not isinstance(data, dict):
         return None
-    if data.get("empty"):
+    if _is_empty(data):
         return data.get("dim")
     translate = data.get("translate")
     return len(translate) if isinstance(translate, list) else None

@@ -201,3 +201,49 @@ def test_violation_exit_1_on_empty_breadth():
 def test_help_exits_cleanly():
     code, _ = run(["--help"])
     assert code == EXIT_OK
+
+
+def test_coefficient_denominator_divisible_by_characteristic_exits_2(capsys):
+    payload = {"points": [["1/3*t"], ["1"], ["0"]]}
+    code, out = run(["radon", "--field", "ratfunc:3", "--json"], json.dumps(payload))
+    assert code == EXIT_USAGE and out == ""
+    assert "denominator 3 is zero in characteristic 3" in capsys.readouterr().err
+    # the same text is fine where 3 is invertible
+    code, _ = run(["radon", "--field", "ratfunc:5", "--json"], json.dumps(payload))
+    assert code == EXIT_OK
+
+
+def test_exponent_above_limit_exits_2(capsys):
+    from ultraconv.field import MAX_EXPONENT
+    over = {"points": [[f"t^{MAX_EXPONENT + 1}"], ["1"], ["0"]]}
+    code, out = run(["radon", "--field", "ratfunc:0", "--json"], json.dumps(over))
+    assert code == EXIT_USAGE and out == ""
+    assert f"exceeds the limit {MAX_EXPONENT}" in capsys.readouterr().err
+    code, out = run(["hull", "--field", "ratfunc:3", "--json"],
+                    json.dumps({"points": [[f"2*t^{MAX_EXPONENT}+1"]]}))
+    assert code == EXIT_OK
+
+
+def test_empty_set_dimension_checked_before_answering():
+    empty2 = {"empty": True, "dim": 2}
+    code, out = run(["member"], json.dumps({"set": empty2, "point": ["0", "0", "0"]}))
+    assert code == EXIT_USAGE and out == ""
+    code, report = run_json(["member"], {"set": empty2, "point": ["0", "0"]})
+    assert code == EXIT_OK and report == {"member": False}
+    plane = {"translate": ["0", "0"], "free": [], "integral": [["1", "0"]]}
+    empty5 = {"empty": True, "dim": 5}
+    for pair in ({"first": plane, "second": empty5}, {"first": empty5, "second": plane}):
+        code, out = run(["intersect"], json.dumps(pair))
+        assert code == EXIT_USAGE and out == "", pair
+    code, report = run_json(["intersect"], {"first": plane, "second": empty2})
+    assert code == EXIT_OK and report == {"empty": True}
+
+
+def test_empty_flag_must_be_a_boolean(capsys):
+    for flag in ("yes", 1, None):
+        code, out = run(["member"], json.dumps({"set": {"empty": flag, "dim": 1},
+                                                "point": ["0"]}))
+        assert code == EXIT_USAGE and out == "", flag
+        assert "'empty' must be true or false" in capsys.readouterr().err
+    code, out = run(["helly"], json.dumps({"family": [{"empty": "yes", "dim": 1}]}))
+    assert code == EXIT_USAGE and out == ""

@@ -189,6 +189,14 @@ def test_intersect_dimension_mismatch_raises():
     with pytest.raises(DimensionError):
         intersect(ConvexSet.point(Vector.zero(f, 1)),
                   ConvexSet.point(Vector.zero(f, 2)))
+    # an empty operand is checked too, before the answer it would give
+    line, empty = ConvexSet.point(Vector.zero(f, 1)), ConvexSet.empty(f, 2)
+    for a, b in ((line, empty), (empty, line)):
+        for op in (intersect, subset):
+            with pytest.raises(DimensionError):
+                op(a, b)
+    with pytest.raises(DimensionError):
+        empty.contains(Vector.zero(f, 1))
 
 
 # ---------------------------------------------------------------------------

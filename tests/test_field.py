@@ -1,8 +1,11 @@
 """Field backends: valuation, exact arithmetic, canonical forms, text."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from ultraconv.field import Field, FieldElement, ParseError, Valuation
+from ultraconv.field import MAX_EXPONENT, Field, FieldElement, ParseError, Valuation
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +137,7 @@ def test_ratfunc_canonical_monic_denominator():
     r0 = Field.ratfunc(0)
     # 2t / (4t + 4) must reduce and leave the denominator monic
     x = r0.ratio([0, 2], [4, 4])
-    num, den = x.data
-    assert den[-1] == 1
+    assert x.render() == "(1/2*t)/(t+1)"
     assert x == r0.ratio([0, 1], [2, 2])
     assert x.render() == r0.parse(x.render()).render()
 
@@ -191,9 +193,14 @@ def test_parse_errors():
         with pytest.raises(ParseError):
             f2.parse(bad)
     r0 = Field.ratfunc(0)
-    for bad in ("", "(t)/(0)", "t^", "t^-1", "(t"):
+    for bad in ("", "(t)/(0)", "t^", "t^-1", "(t", f"t^{MAX_EXPONENT + 1}", "1/0*t"):
         with pytest.raises(ParseError):
             r0.parse(bad)
+    assert r0.parse(f"t^{MAX_EXPONENT}").val() == MAX_EXPONENT
+    r3 = Field.ratfunc(3)
+    for bad in ("1/3*t", "(t)/(2/6)"):
+        with pytest.raises(ParseError):
+            r3.parse(bad)
 
 
 def test_elements_are_hashable_and_field_bound():
@@ -217,3 +224,155 @@ def test_field_property_suite(sel, trials):
     results = run_suite("field", Field.from_selector(sel), seed=20260822, trials=trials)
     for r in results:
         assert r.ok, f"{r.name}: {r.failures}"
+
+
+# ---------------------------------------------------------------------------
+# rational function arithmetic against frozen renders and evaluation
+
+# (field, operation, operands, render), rendered by the Fraction-coefficient
+# implementation this arithmetic replaced
+FROZEN_RATFUNC = [
+    ("ratfunc:0", "add", ("(1/2*t-3)/(t+1)", "(t^2-1)/(2*t+2)"), "(1/2*t^2+1/2*t-7/2)/(t+1)"),
+    ("ratfunc:0", "sub", ("(-3*t^2+1)/(t^2-1)", "(2)/(t-1)"), "(-3*t^2-2*t-1)/(t^2-1)"),
+    ("ratfunc:0", "sub", ("(t^2+1)/(2*t^2-2)", "(t^2+1)/(2*t^2-2)"), "0"),
+    ("ratfunc:0", "mul", ("(t^2-1)/(3*t)", "(-6*t)/(t+1)"), "-2*t+2"),
+    ("ratfunc:0", "mul", ("(-t^3+2)/(3*t-1)", "(3*t-1)/(-2*t^2)"), "(1/2*t^3-1)/(t^2)"),
+    ("ratfunc:0", "div", ("(-2*t+4)/(t^3)", "(t-2)/(5*t)"), "(-10)/(t^2)"),
+    ("ratfunc:0", "inverse", ("(-2*t^2+4)/(3*t+1)",), "(-3/2*t-1/2)/(t^2-2)"),
+    ("ratfunc:0", "integral_part", ("(-3*t^4+1/2*t+3)/(2*t^2+4*t^3)",),
+     "(-3/4*t^2+11/4)/(t+1/2)"),
+    ("ratfunc:0", "grooming_unit", ("(3/2*t)/(t+2)", "(-6*t^2+3)/(t^2)", "(4/3)/(t^3-t)"),
+     "t^3+2*t^2-t-2"),
+    ("ratfunc:0", "parse", ("(1/2*t+1/3)/(2/3*t^2-4)",), "(3/4*t+1/2)/(t^2-6)"),
+    ("ratfunc:0", "parse", ("(-4*t^2+2*t)/(-6*t)",), "2/3*t-1/3"),
+    ("ratfunc:3", "add", ("(2*t+1)/(t^2+1)", "(t)/(t+2)"), "(t^3+2*t^2+2)/(t^3+2*t^2+t+2)"),
+    ("ratfunc:3", "sub", ("(t+1)/(t^2+2)", "(1)/(t+1)"), "(2)/(t^2+2)"),
+    ("ratfunc:3", "mul", ("(t^2+2)/(2*t)", "(t)/(t+1)"), "2*t+1"),
+    ("ratfunc:3", "div", ("(2*t^2+1)/(t^3)", "(t+1)/(2*t)"), "(t+2)/(t^2)"),
+    ("ratfunc:3", "inverse", ("(2*t^2+1)/(t+2)",), "(2)/(t+1)"),
+    ("ratfunc:3", "integral_part", ("(2*t^3+t+1)/(t^2+2*t^3)",), "(t+1)/(t+2)"),
+    ("ratfunc:3", "grooming_unit", ("(2*t)/(t+1)", "(t^2+2)/(2*t^2)"), "t+1"),
+    ("ratfunc:3", "parse", ("(2*t^2+2)/(2*t^2+t)",), "(t^2+1)/(t^2+2*t)"),
+    ("ratfunc:3", "parse", ("(1/2*t^2+2/5)/(2*t+1/4)",), "t+1"),
+]
+
+
+@pytest.mark.parametrize("sel,op,operands,expected", FROZEN_RATFUNC)
+def test_ratfunc_arithmetic_matches_frozen_renders(sel, op, operands, expected):
+    f = Field.from_selector(sel)
+    xs = [f.parse(s) for s in operands]
+    compute = {
+        "add": lambda: xs[0] + xs[1],
+        "sub": lambda: xs[0] - xs[1],
+        "mul": lambda: xs[0] * xs[1],
+        "div": lambda: xs[0] / xs[1],
+        "inverse": lambda: xs[0].inverse(),
+        "integral_part": lambda: xs[0].integral_part(),
+        "grooming_unit": lambda: f.grooming_unit(xs),
+        "parse": lambda: xs[0],
+    }
+    assert compute[op]().render() == expected
+
+
+def test_ratio_clears_fraction_coefficients():
+    r0 = Field.ratfunc(0)
+    x = r0.ratio([Fraction(1, 2), 0, Fraction(-3, 4)], [Fraction(-2, 3), 1])
+    assert x.render() == "(-3/4*t^2+1/2)/(t-2/3)"
+    assert Field.ratfunc(5).ratio([1, 2], [3, 4]).render() == "(3*t+4)/(t+2)"
+    assert Field.ratfunc(3).ratio([Fraction(1, 2)]).render() == "2"
+
+
+def _evaluate(f, x, x0):
+    """x at t = x0 from its payload as num(x0) / den(x0), or None where the
+    denominator vanishes; any rescaling of the payload gives the same
+    value."""
+    num, den = x.data
+    n = sum(c * x0**i for i, c in enumerate(num))
+    d = sum(c * x0**i for i, c in enumerate(den))
+    q = f.param
+    if q:
+        n, d = n % q, d % q
+        return None if d == 0 else n * pow(d, -1, q) % q
+    return None if d == 0 else Fraction(n) / d
+
+
+@pytest.mark.parametrize("sel", ["ratfunc:0", "ratfunc:3", "ratfunc:5"])
+def test_ratfunc_arithmetic_commutes_with_evaluation(sel):
+    f = Field.from_selector(sel)
+    q = f.param
+    rng = random.Random(20261018)
+    points = list(range(q)) if q else [Fraction(k, 2) for k in range(-5, 6)]
+
+    def element():
+        while True:
+            num = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+            den = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+            if any(c % q if q else c for c in den):
+                return f.ratio(num, den) * f.uniformizer_pow(rng.randint(-2, 2))
+
+    def inv(v):
+        return pow(v, -1, q) if q else 1 / v
+
+    def red(v):
+        return v % q if q else v
+
+    pool = [element() for _ in range(8)]
+    checked = 0
+    for _ in range(150):
+        a, b = rng.choice(pool), rng.choice(pool)
+        results = {"+": a + b, "-": a - b, "*": a * b, "neg": -a}
+        if b:
+            results["/"] = a / b
+        if a:
+            results["inv"] = a.inverse()
+        for r in results.values():
+            # a canonical payload is the one its own text parses to
+            assert f.parse(r.render()) == r
+        for x0 in points:
+            va, vb = _evaluate(f, a, x0), _evaluate(f, b, x0)
+            if va is None or vb is None:
+                continue
+            expected = {"+": red(va + vb), "-": red(va - vb), "*": red(va * vb), "neg": red(-va)}
+            if vb:
+                expected["/"] = red(va * inv(vb))
+            if va:
+                expected["inv"] = inv(va)
+            for op, value in expected.items():
+                assert _evaluate(f, results[op], x0) == value, op
+            checked += 1
+        # grow degrees and sizes through the pool, within reason
+        c = rng.choice([r for op, r in results.items() if op in "+-*/"])
+        if len(c.render()) < 300:
+            pool[rng.randrange(len(pool))] = c
+    assert checked > 100, checked
+
+
+def test_ratfunc_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    r0 = Field.ratfunc(0)
+    t = sympy.Symbol("t")
+    rng = random.Random(7)
+
+    def element():
+        num = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        den = [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.choice([-2, 1, 3])]
+        return r0.ratio(num, den)
+
+    def to_sympy(x):
+        return sympy.sympify(x.render().replace("^", "**"), locals={"t": t})
+
+    for _ in range(40):
+        a, b = element(), element()
+        sa, sb = to_sympy(a), to_sympy(b)
+        pairs = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb)]
+        if b:
+            pairs.append((a / b, sa / sb))
+        for ours, theirs in pairs:
+            p, d = sympy.fraction(sympy.cancel(theirs))
+            # canonical form: the same reduced fraction with a monic denominator
+            lead = sympy.Poly(d, t).LC()
+            expected = sympy.expand(p / lead) / sympy.expand(d / lead)
+            assert sympy.simplify(to_sympy(ours) - expected) == 0
+            num, den = ours.data
+            assert sympy.degree(sympy.expand(d), t) == len(den) - 1
+            assert sympy.degree(sympy.expand(p), t) == (len(num) - 1 if num else -sympy.oo)
