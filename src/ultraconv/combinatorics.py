@@ -5,10 +5,19 @@ Tverberg-style partitions, shattering reports, dual atom counts, designed
 hyperplane families, fractional intersection statistics, first-selection
 counts and a greedy piercing heuristic.  Everything returns data that can be
 re-validated offline with exact arithmetic.
+
+The exhaustive searches build only the hulls and intersections their
+answers need.  Partitions are enumerated block by block (each block holds
+the least unassigned index), subfamilies and combinations by increasing
+index; a running intersection is shared by every completion of its prefix,
+and a prefix whose intersection is empty is cut with its whole subtree.
+The last member or block is decided by ``meets``, which builds no
+intersection.  Hulls are cached by index bitmask within one call.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -21,8 +30,8 @@ from .convex import (
     TooFewPointsError,
     caratheodory_indices,
     conv_hull,
-    equals,
     intersect,
+    meets,
     quasi_ball,
     subset,
 )
@@ -110,17 +119,27 @@ def coordinate_hyperplanes(field: Field, d: int) -> Family:
 
 def breadth_reduce(fam: Family) -> List[int]:
     """Indices of at most d members whose intersection already equals the
-    total intersection; subsets are searched by size, then lexicographically."""
+    total intersection; subsets are searched by size, then lexicographically.
+
+    Each combination extends the cached intersection of its prefix by one
+    member.  Every such intersection contains the total, so equality is
+    the one inclusion left to check."""
     if len(fam) == 0:
         return []
     total = fam.intersection()
     if total.is_empty:
         raise EmptyIntersectionError("family has empty intersection")
     n = len(fam)
+    prefixes = {(): None}
     for size in range(1, min(fam.dim, n) + 1):
+        layer = {}
         for combo in itertools.combinations(range(n), size):
-            if equals(fam.intersection(combo), total):
+            head, last = prefixes[combo[:-1]], fam.members[combo[-1]]
+            cur = last if head is None else intersect(head, last)
+            if subset(cur, total):
                 return list(combo)
+            layer[combo] = cur
+        prefixes = layer
     raise AssertionError("breadth bound violated: no witness subset of size <= dim")
 
 
@@ -195,51 +214,57 @@ def validate_tverberg(points: Sequence[Vector], part: TverbergPartition, r: int)
     return all(h.contains(witness) for h in hulls)
 
 
-def _partitions_into_blocks(n: int, r: int):
-    """Unordered partitions of range(n) into exactly r nonempty blocks."""
-
-    def rec(i: int, blocks: List[List[int]]):
-        if i == n:
-            if len(blocks) == r:
-                yield [list(b) for b in blocks]
-            return
-        # pruning: each block still needs at least one element
-        if len(blocks) + (n - i) < r:
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < r:
-            blocks.append([i])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
-
-
 def count_tverberg_partitions(points: Sequence[Vector], r: int) -> int:
     """Number of unordered partitions of the point list into r nonempty
-    blocks whose hulls share a point.  Exhaustive; capped at 12 points."""
-    if len(points) > 12:
+    blocks whose hulls share a point.  Exhaustive; capped at 12 points.
+
+    Blocks are chosen one at a time: each takes the least unassigned index
+    plus a subset of the other unassigned ones, leaving at least one index
+    for every block still to come.  The intersection of the chosen blocks'
+    hulls is shared by all completions, and a choice that empties it is
+    cut with its whole subtree.  Once two blocks remain, the second is the
+    rest, and the pair is decided by ``meets`` with that intersection.
+    Hulls are cached by index bitmask for the duration of the call, except
+    those of first blocks, which are never asked for twice.
+    """
+    n = len(points)
+    if n > 12:
         raise TooLargeError("exhaustive partition count is capped at 12 points")
-    if r < 1 or r > len(points):
+    if r < 1 or r > n:
         return 0
-    field = points[0].field
-    d = points[0].dim
-    count = 0
-    for blocks in _partitions_into_blocks(len(points), r):
-        acc: Optional[ConvexSet] = None
-        ok = True
-        for block in blocks:
-            h = conv_hull([points[i] for i in block])
-            acc = h if acc is None else intersect(acc, h)
-            if acc.is_empty:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    hulls = {}
+
+    def hull(mask: int) -> ConvexSet:
+        h = hulls.get(mask)
+        if h is None:
+            h = conv_hull([p for i, p in enumerate(points) if mask >> i & 1])
+            # a block holding index 0 is always the first block, so each
+            # such hull is asked for once and is not kept
+            if not mask & 1:
+                hulls[mask] = h
+        return h
+
+    def count(prefix: Tuple[ConvexSet, ...], free: int, blocks: int) -> int:
+        low = free & -free
+        others = free ^ low
+        found = 0
+        sub = others
+        while True:
+            rest = others ^ sub
+            if rest.bit_count() >= blocks - 1:
+                block = hull(low | sub)
+                if blocks == 2:
+                    found += meets(*prefix, block, hull(rest))
+                else:
+                    acc = intersect(prefix[0], block) if prefix else block
+                    if not acc.is_empty:
+                        found += count((acc,), rest, blocks - 1)
+            if not sub:
+                return found
+            sub = (sub - 1) & others
+
+    everything = (1 << n) - 1
+    return int(meets(hull(everything))) if r == 1 else count((), everything, r)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +294,12 @@ def is_shattered(points: Sequence[Vector]) -> ShatterReport:
 
     Since the hull is the smallest convex superset, a subset S can be cut
     out by some convex set exactly when conv(S) avoids the other points;
-    subsets are scanned by size, then lexicographically.
+    subsets are scanned by size, then lexicographically.  Capped at 12
+    points.
     """
     n = len(points)
+    if n > 12:
+        raise TooLargeError("shattering test is capped at 12 points")
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
             hull = conv_hull([points[i] for i in combo])
@@ -331,9 +359,11 @@ def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
     """(alpha, beta): the exact fraction of k-index-subfamilies with a
     common point, and the maximum fraction of members sharing one point.
 
-    alpha is an exhaustive count; beta is a depth-first search over
-    subfamilies that prunes any branch whose running intersection is empty.
-    Capped at 20 members.
+    alpha counts the k-subsets by a depth-first search over increasing
+    indices that shares prefix intersections, cuts a prefix with empty
+    intersection and decides the last member with ``meets``; beta is a
+    depth-first search over subfamilies that prunes any branch whose running
+    intersection is empty.  Capped at 20 members.
     """
     n = len(fam)
     if n > 20:
@@ -342,29 +372,37 @@ def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
         raise ValueError("empty family has no statistics")
     if k < 1:
         raise ValueError("subfamily size must be at least 1")
-    total = 0
-    hit = 0
-    for combo in itertools.combinations(range(n), k):
-        total += 1
-        if not fam.intersection(combo).is_empty:
-            hit += 1
-    alpha = Fraction(1) if total == 0 else Fraction(hit, total)
+    members = fam.members
+
+    def hits(start: int, prefix: Tuple[ConvexSet, ...], need: int) -> int:
+        found = 0
+        for j in range(start, n - need + 1):
+            if need == 1:
+                found += meets(*prefix, members[j])
+            else:
+                acc = intersect(prefix[0], members[j]) if prefix else members[j]
+                if not acc.is_empty:
+                    found += hits(j + 1, (acc,), need - 1)
+        return found
+
+    total = math.comb(n, k)
+    alpha = Fraction(1) if total == 0 else Fraction(hits(0, (), k), total)
 
     best = 0
 
-    def dfs(start: int, current: ConvexSet, size: int):
+    def dfs(start: int, current: Optional[ConvexSet], size: int):
         nonlocal best
         if size > best:
             best = size
         for j in range(start, n):
             if size + (n - j) <= best:
                 break
-            nxt = intersect(current, fam.members[j])
+            nxt = members[j] if current is None else intersect(current, members[j])
             if nxt.is_empty:
                 continue
             dfs(j + 1, nxt, size + 1)
 
-    dfs(0, fam.full_space(), 0)
+    dfs(0, None, 0)
     beta = Fraction(best, n)
     return alpha, beta
 
@@ -374,7 +412,6 @@ def _maximal_intersecting_subfamilies(fam: Family) -> List[Tuple[Tuple[int, ...]
     with one point of that intersection."""
     n = len(fam)
     out: List[Tuple[Tuple[int, ...], Vector]] = []
-    seen: Set[Tuple[int, ...]] = set()
 
     def dfs(start: int, chosen: Tuple[int, ...], current: ConvexSet):
         extendable = False
@@ -385,15 +422,12 @@ def _maximal_intersecting_subfamilies(fam: Family) -> List[Tuple[Tuple[int, ...]
                 dfs(j + 1, chosen + (j,), nxt)
         if extendable or not chosen:
             return
-        # no later extension; check maximality against every absent index
-        for j in range(n):
-            if j in chosen:
-                continue
-            if not intersect(current, fam.members[j]).is_empty:
+        # every later index misses; check maximality against the earlier
+        # absent ones
+        for j in range(start):
+            if j not in chosen and meets(current, fam.members[j]):
                 return
-        if chosen not in seen:
-            seen.add(chosen)
-            out.append((chosen, current.a_point()))
+        out.append((chosen, current.a_point()))
 
     dfs(0, (), fam.full_space())
     return out
@@ -447,7 +481,7 @@ def selection_point(points: Sequence[Vector]) -> Tuple[Vector, int, int]:
         total += 1
         hull = conv_hull([points[i] for i in combo])
         for a in range(n):
-            if hull.contains(points[a]):
+            if a in combo or hull.contains(points[a]):
                 counts[a] += 1
     best = max(range(n), key=lambda i: (counts[i], -i))
     return points[best], counts[best], total

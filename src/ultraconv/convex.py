@@ -349,24 +349,19 @@ def _coset_shrink(module: "MixedModule", x: Vector) -> Vector:
     return out
 
 
-def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
-    """Exact intersection.
+def _check_ambients(sets: Sequence[ConvexSet]) -> None:
+    for c in sets[1:]:
+        if c.dim != sets[0].dim or c.field != sets[0].field:
+            raise DimensionError("cannot intersect sets from different ambients")
 
-    Nonempty exactly when the translate difference lies in the sum of the
-    two modules; the common point and the intersection module are read off
-    a scale-constrained system over the concatenated generators.
-    """
-    if c1.dim != c2.dim or c1.field != c2.field:
-        raise DimensionError("cannot intersect sets from different ambients")
-    if c1.is_empty:
-        return c1
-    if c2.is_empty:
-        return c2
-    field, d = c1.field, c1.dim
+
+def _sum_system(c1: ConvexSet, c2: ConvexSet) -> Tuple[ScaleSystem, Optional[Vector]]:
+    """The scale-constrained system over the generators of the first module
+    and the negated generators of the second, with a box solution for the
+    translate difference (None when the nonempty sets miss each other)."""
     m1, m2 = c1.module, c2.module
     cols: List[Vector] = []
     scales: List[str] = []
-    n1 = len(m1.free_gens) + len(m1.integral_gens)
     for v in m1.free_gens:
         cols.append(v)
         scales.append(FREE)
@@ -379,16 +374,32 @@ def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
     for v in m2.integral_gens:
         cols.append(-v)
         scales.append(INTEGRAL)
-    G = Matrix.from_cols(field, cols, nrows=d)
+    G = Matrix.from_cols(c1.field, cols, nrows=c1.dim)
     sys = ScaleSystem(G, scales)
-    witness = sys.solve_box(c2.translate - c1.translate)
+    return sys, sys.solve_box(c2.translate - c1.translate)
+
+
+def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
+    """Exact intersection.
+
+    Nonempty exactly when the translate difference lies in the sum of the
+    two modules; the common point and the intersection module are read off
+    a scale-constrained system over the concatenated generators.
+    """
+    _check_ambients((c1, c2))
+    if c1.is_empty:
+        return c1
+    if c2.is_empty:
+        return c2
+    field, d = c1.field, c1.dim
+    sys, witness = _sum_system(c1, c2)
     if witness is None:
         return ConvexSet.empty(field, d)
-    gens1 = list(m1.free_gens) + list(m1.integral_gens)
+    gens1 = list(c1.module.free_gens) + list(c1.module.integral_gens)
 
     def image1(c: Vector) -> Vector:
         acc = Vector.zero(field, d)
-        for coeff, g in zip(c.coords[:n1], gens1):
+        for coeff, g in zip(c.coords, gens1):
             if not coeff.is_zero:
                 acc = acc + g.scale(coeff)
         return acc
@@ -398,6 +409,35 @@ def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
     mod = MixedModule(field, d, free, integral)
     point = _coset_shrink(mod, c1.translate + image1(witness))
     return ConvexSet.of(point, mod)
+
+
+def meets(*sets: ConvexSet) -> bool:
+    """Whether the sets share a point, without building their intersection.
+
+    - If any set is empty, the answer is False.
+    - If some set is a single point (its module has no generators, as for
+      the hull of one point), the answer is whether every other set
+      contains that point, read off their cached normal forms.
+    - Otherwise all sets but the last are intersected, and the last is
+      decided by the box witness of their sum system alone.
+
+    With no sets the answer is True: the empty intersection is the whole
+    space.  Sets from different ambients raise ``DimensionError``.
+    """
+    _check_ambients(sets)
+    if any(c.is_empty for c in sets):
+        return False
+    for c in sets:
+        if not c.module.free_gens and not c.module.integral_gens:
+            return all(other.contains(c.translate) for other in sets if other is not c)
+    if len(sets) < 2:
+        return True
+    acc = sets[0]
+    for c in sets[1:-1]:
+        acc = intersect(acc, c)
+        if acc.is_empty:
+            return False
+    return _sum_system(acc, sets[-1])[1] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,17 @@ def _poly_render(a) -> str:
 # text.
 MAX_EXPONENT = 1024
 
+# Longest digit run accepted in element text: Python's default limit on
+# integer string conversion, so every run that converted before still does.
+MAX_DIGITS = 4300
+
+
+def _digit_run(text: str, start: int, end: int) -> int:
+    """The integer spelled by the digit run ``text[start:end]``."""
+    if end - start > MAX_DIGITS:
+        raise ParseError(f"{end - start} digits exceed the limit {MAX_DIGITS}", start)
+    return int(text[start:end])
+
 
 class _PolyParser:
     def __init__(self, text: str, F):
@@ -448,7 +459,7 @@ class _PolyParser:
             self.i += 1
         if self.i == start:
             raise ParseError("expected digits", start)
-        return int(self.text[start:self.i])
+        return _digit_run(self.text, start, self.i)
 
     def parse_coeff(self, sign: int):
         n = self.parse_uint()
@@ -580,7 +591,9 @@ class _PadicOps:
             i += 1
         if i == d0:
             raise ParseError("expected an integer", i)
-        num = int(text[start:i])
+        num = _digit_run(text, d0, i)
+        if d0 > start:
+            num = -num
         den = 1
         if i < n and text[i] == "/":
             i += 1
@@ -589,7 +602,7 @@ class _PadicOps:
                 i += 1
             if i == d1:
                 raise ParseError("expected digits after '/'", i)
-            den = int(text[d1:i])
+            den = _digit_run(text, d1, i)
             if den == 0:
                 raise ParseError("zero denominator", d1)
         while i < n and text[i].isspace():

@@ -224,6 +224,28 @@ def test_exponent_above_limit_exits_2(capsys):
     assert code == EXIT_OK
 
 
+def test_digit_run_above_limit_exits_2(capsys):
+    from ultraconv.field import MAX_DIGITS
+    long = "3" * 5000
+    for sel, entry in (("padic:2", long), ("padic:2", f"1/{long}"), ("ratfunc:0", f"{long}*t")):
+        code, out = run(["hull", "--field", sel, "--json"],
+                        json.dumps({"points": [[entry, "1"]]}))
+        assert code == EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert f"5000 digits exceed the limit {MAX_DIGITS}" in err
+        assert "set_int_max_str_digits" not in err
+    code, out = run(["hull", "--json"],
+                    json.dumps({"points": [["3" * MAX_DIGITS, "1"]]}))
+    assert code == EXIT_OK
+
+
+def test_shatter_caps_input_size(capsys):
+    pts = [[str(i), "0"] for i in range(13)]
+    code, out = run(["shatter", "--json"], json.dumps({"points": pts}))
+    assert code == EXIT_USAGE and out == ""
+    assert "capped at 12 points" in capsys.readouterr().err
+
+
 def test_empty_set_dimension_checked_before_answering():
     empty2 = {"empty": True, "dim": 2}
     code, out = run(["member"], json.dumps({"set": empty2, "point": ["0", "0", "0"]}))

@@ -119,6 +119,14 @@ def test_oversized_sets_never_shatter():
     assert report.violator not in report.failing_subset
 
 
+def test_shatter_caps_input_size():
+    f = Field.padic(2)
+    report = is_shattered(_pts(f, *[(i,) for i in range(12)]))
+    assert not report.shattered
+    with pytest.raises(TooLargeError):
+        is_shattered(_pts(f, *[(i,) for i in range(13)]))
+
+
 # ---------------------------------------------------------------------------
 # dual atoms
 

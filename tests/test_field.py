@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultraconv.field import MAX_EXPONENT, Field, FieldElement, ParseError, Valuation
+from ultraconv.field import MAX_DIGITS, MAX_EXPONENT, Field, FieldElement, ParseError, Valuation
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,25 @@ def test_parse_errors():
     for bad in ("1/3*t", "(t)/(2/6)"):
         with pytest.raises(ParseError):
             r3.parse(bad)
+
+
+def test_digit_runs_are_limited():
+    longest, over = "7" * MAX_DIGITS, "7" * (MAX_DIGITS + 1)
+    f2 = Field.padic(2)
+    assert f2.parse(longest) == f2.parse(f"-{longest}") * -1
+    assert f2.parse(f"1/{longest}") * f2.parse(longest) == f2.one
+    r0 = Field.ratfunc(0)
+    assert r0.parse(f"{longest}*t").val() == 1
+    assert r0.parse(f"(t)/({longest})").val() == 1
+    cases = [(f2, over, 0), (f2, f"-{over}", 1), (f2, f"3/{over}", 2),
+             (r0, over, 0), (r0, f"t+{over}", 2), (r0, f"1/{over}*t", 2),
+             (r0, f"t^{over}", 2), (r0, f"(t)/(t-{over})", 7),
+             (Field.ratfunc(3), f" {over}", 1)]
+    for F, text, pos in cases:
+        with pytest.raises(ParseError) as err:
+            F.parse(text)
+        assert err.value.position == pos, text
+        assert f"exceed the limit {MAX_DIGITS}" in str(err.value)
 
 
 def test_elements_are_hashable_and_field_bound():
