@@ -50,12 +50,13 @@ class MixedModule:
     Construction drops zero generators, reduces each generator list to a
     linearly independent one (preserving spans via the minimal-valuation
     drop rule), and discards integral generators already inside the free
-    subspace.  A normal form (free basis plus a valuation-orthogonal basis
-    of the integral part reduced modulo the free pivots) is cached lazily;
-    membership and line containment are read off it.
+    subspace, read off the free basis it builds once.  A normal form (that
+    free basis plus a valuation-orthogonal basis of the integral part
+    reduced modulo the free pivots) is completed lazily; membership and
+    line containment are read off it.
     """
 
-    __slots__ = ("field", "dim", "free_gens", "integral_gens", "_nf")
+    __slots__ = ("field", "dim", "free_gens", "integral_gens", "_free_basis", "_nf")
 
     def __init__(self, field: Field, dim: int,
                  free_gens: Sequence[Vector] = (),
@@ -70,16 +71,10 @@ class MixedModule:
         free = [_groom_free(field, v) for v in free_gens]
         free = [free[i] for i in independent_indices(field, free)]
         self.free_gens = tuple(free)
-        groomed = [v.groomed() for v in integral_gens]
-        if free:
-            free_basis = orthogonalize(free, field=field)
-            kept = []
-            for g in groomed:
-                _, rest = free_basis.reduce(g)
-                if not rest.is_zero:
-                    kept.append(g)
-        else:
-            kept = [g for g in groomed if not g.is_zero]
+        # with no free generators this keeps exactly the nonzero ones
+        self._free_basis = orthogonalize(free, field=field)
+        kept = [g for g in (v.groomed() for v in integral_gens)
+                if not self._free_basis.reduce(g)[1].is_zero]
         self.integral_gens = tuple(kept[i] for i in independent_indices(field, kept))
         self._nf = None
 
@@ -89,13 +84,9 @@ class MixedModule:
         """(free basis, orthogonal basis of the integral part reduced modulo
         the free pivots).  The two pivot sets are disjoint."""
         if self._nf is None:
-            free_basis = orthogonalize(self.free_gens, field=self.field)
-            reduced = []
-            for g in self.integral_gens:
-                _, rest = free_basis.reduce(g)
-                reduced.append(rest)
-            int_basis = orthogonalize(reduced, field=self.field)
-            self._nf = (free_basis, int_basis)
+            free_basis = self._free_basis
+            reduced = [free_basis.reduce(g)[1] for g in self.integral_gens]
+            self._nf = (free_basis, orthogonalize(reduced, field=self.field))
         return self._nf
 
     # membership -------------------------------------------------------------
@@ -395,14 +386,11 @@ def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
     sys, witness = _sum_system(c1, c2)
     if witness is None:
         return ConvexSet.empty(field, d)
-    gens1 = list(c1.module.free_gens) + list(c1.module.integral_gens)
+    gens1 = c1.module.free_gens + c1.module.integral_gens
+    G1 = Matrix.from_cols(field, gens1, nrows=d)
 
     def image1(c: Vector) -> Vector:
-        acc = Vector.zero(field, d)
-        for coeff, g in zip(c.coords, gens1):
-            if not coeff.is_zero:
-                acc = acc + g.scale(coeff)
-        return acc
+        return G1.mul_vec(c.project(range(len(gens1))))
 
     free = [image1(v) for v in sys.free_part]
     integral = [image1(v) for v in sys.integral_part]

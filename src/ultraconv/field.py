@@ -425,6 +425,11 @@ MAX_EXPONENT = 1024
 # integer string conversion, so every run that converted before still does.
 MAX_DIGITS = 4300
 
+# Digits accepted in element text and field selectors.  ``str.isdigit``
+# also accepts superscripts and other scripts' digits, some of which
+# ``int()`` converts and some it rejects.
+_ASCII_DIGITS = frozenset("0123456789")
+
 
 def _digit_run(text: str, start: int, end: int) -> int:
     """The integer spelled by the digit run ``text[start:end]``."""
@@ -455,7 +460,7 @@ class _PolyParser:
     def parse_uint(self) -> int:
         self.skip_ws()
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and self.text[self.i] in _ASCII_DIGITS:
             self.i += 1
         if self.i == start:
             raise ParseError("expected digits", start)
@@ -507,7 +512,7 @@ class _PolyParser:
             if ch == "t":
                 exp = self.parse_tpart()
                 c = sign
-            elif ch.isdigit():
+            elif ch in _ASCII_DIGITS:
                 c = self.parse_coeff(sign)
                 exp = 0
                 if self.peek() == "*":
@@ -587,7 +592,7 @@ class _PadicOps:
         if i < n and text[i] == "-":
             i += 1
         d0 = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i] in _ASCII_DIGITS:
             i += 1
         if i == d0:
             raise ParseError("expected an integer", i)
@@ -598,7 +603,7 @@ class _PadicOps:
         if i < n and text[i] == "/":
             i += 1
             d1 = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _ASCII_DIGITS:
                 i += 1
             if i == d1:
                 raise ParseError("expected digits after '/'", i)
@@ -831,13 +836,10 @@ class Field:
     def from_selector(cls, selector: str) -> "Field":
         """Build from a ``padic:<p>`` or ``ratfunc:<char>`` selector string."""
         kind, sep, arg = selector.partition(":")
-        if not sep or kind not in (cls._PADIC, cls._RATFUNC):
+        if (not sep or kind not in (cls._PADIC, cls._RATFUNC)
+                or not arg or not set(arg) <= _ASCII_DIGITS):
             raise ValueError(f"bad field selector {selector!r}")
-        try:
-            param = int(arg)
-        except ValueError:
-            raise ValueError(f"bad field selector {selector!r}") from None
-        return cls(kind, param)
+        return cls(kind, int(arg))
 
     @property
     def selector(self) -> str:

@@ -1,16 +1,21 @@
 """Exact linear algebra over a valued field.
 
 Everything here is generic over :class:`~ultraconv.field.Field` elements and
-works by fraction-free-style exact elimination (divisions are exact in the
-field).  On top of plain solving this module provides:
+works by exact elimination (divisions are exact in the field).  Each
+elimination keeps only the rows it answers from; no transform or
+expression list is carried alongside.  This module provides:
 
+* ``LinearSolver``: the reduced row echelon form of a matrix, its kernel,
+  and particular solutions read off the reduced form of [A | b],
 * ``independent_indices``: the one dependency-drop rule (drop the
   coefficient of least valuation in the first kernel vector), which keeps
   both the K-span and the O-span of a list of vectors,
 * ``orthogonalize``: a valuation-orthogonal basis of the O-span of a list of
-  vectors, built by valuation-pivoted elimination after that rule,
-* ``constrained_kernel`` / ``mixed_solve``: kernels and affine systems where
-  a chosen subset of coordinates is constrained to the valuation ring O.
+  vectors, built by valuation-pivoted elimination after that rule, with
+  valuations and pivots read on all coordinates or on a chosen subset,
+* ``ScaleSystem`` (``constrained_kernel`` / ``mixed_solve``): kernels and
+  affine systems where a chosen subset of coordinates is constrained to
+  the valuation ring O.
 """
 from __future__ import annotations
 
@@ -153,10 +158,7 @@ class Matrix:
             if c.dim != m:
                 raise DimensionError("columns of unequal dimension")
         rows = [tuple(c[i] for c in cols) for i in range(m)]
-        return cls(field, rows)
-
-    def row(self, i: int) -> Vector:
-        return Vector(self.field, self.entries[i])
+        return cls(field, rows, ncols=len(cols))
 
     def col(self, j: int) -> Vector:
         return Vector(self.field, tuple(r[j] for r in self.entries))
@@ -181,19 +183,19 @@ class Matrix:
 
 
 class LinearSolver:
-    """Row-reduces a matrix once, then answers A c = b for many b.
+    """The reduced row echelon form of a matrix A, with its kernel and
+    particular solutions of A c = b.
 
-    Stores the reduced rows together with the transform T with R = T A, so a
-    fresh right-hand side costs one matrix-vector product plus back reads.
+    Only row operations on A itself are kept; each right-hand side is
+    appended to A as a last column and reduced afresh.  The reduced form is
+    unique, so answers do not depend on how the reduction is ordered.
     """
 
     def __init__(self, A: Matrix):
         self.A = A
-        field = A.field
-        self.field = field
+        self.field = A.field
         m, n = A.nrows, A.ncols
         red = [list(r) for r in A.entries]
-        trans = [list(Vector.unit(field, m, i).coords) for i in range(m)]
         pivots: List[Tuple[int, int]] = []  # (row, col), rows in order 0..rank-1
         rank = 0
         for col in range(n):
@@ -206,10 +208,8 @@ class LinearSolver:
                 continue
             if sel != rank:
                 red[rank], red[sel] = red[sel], red[rank]
-                trans[rank], trans[sel] = trans[sel], trans[rank]
             inv = red[rank][col].inverse()
             red[rank] = [inv * a for a in red[rank]]
-            trans[rank] = [inv * a for a in trans[rank]]
             for r in range(m):
                 if r == rank:
                     continue
@@ -217,38 +217,35 @@ class LinearSolver:
                 if f.is_zero:
                     continue
                 red[r] = [a - f * b for a, b in zip(red[r], red[rank])]
-                trans[r] = [a - f * b for a, b in zip(trans[r], trans[rank])]
             pivots.append((rank, col))
             rank += 1
             if rank == m:
                 break
         self.reduced = red
-        self.transform = trans
         self.pivots = pivots
         self.rank = rank
         pivot_cols = {c for _, c in pivots}
         self.free_cols = [c for c in range(n) if c not in pivot_cols]
 
     def solve(self, b: Vector) -> Optional[Vector]:
-        """A particular solution with free coordinates set to 0, or None."""
-        if b.dim != self.A.nrows:
+        """A particular solution with free coordinates set to 0, or None.
+
+        Reduces [A | b]: b is outside the column space exactly when the
+        last column becomes a pivot; otherwise that column holds the
+        solution's pivot coordinates.
+        """
+        A = self.A
+        if b.dim != A.nrows:
             raise DimensionError("right-hand side dimension mismatch")
-        field = self.field
-        m, n = self.A.nrows, self.A.ncols
-        tb = []
-        for r in range(m):
-            acc = field.zero
-            for a, x in zip(self.transform[r], b.coords):
-                if not (a.is_zero or x.is_zero):
-                    acc = acc + a * x
-            tb.append(acc)
-        for r in range(self.rank, m):
-            if not tb[r].is_zero:
-                return None
-        out = [field.zero] * n
-        for r, c in self.pivots:
-            out[c] = tb[r]
-        return Vector(field, out)
+        n = A.ncols
+        aug = LinearSolver(Matrix(self.field, [r + (x,) for r, x in zip(A.entries, b.coords)],
+                                  ncols=n + 1))
+        if aug.pivots and aug.pivots[-1][1] == n:
+            return None
+        out = [self.field.zero] * n
+        for r, c in aug.pivots:
+            out[c] = aug.reduced[r][n]
+        return Vector(self.field, out)
 
     def kernel(self) -> List[Vector]:
         """A basis of the kernel, one vector per free column, in column order."""
@@ -297,8 +294,10 @@ class OrthoBasis:
 
         val(sum c_i u_i) = min_i (val(c_i) + gamma_i).
 
-    Later vectors vanish on every earlier pivot coordinate, so coefficients
-    can be read off by successive pivot elimination.
+    Valuations are taken on the coordinates the family was orthogonalized
+    on (all of them unless ``orthogonalize`` was given ``on``).  Later
+    vectors vanish on every earlier pivot coordinate, so coefficients can
+    be read off by successive pivot elimination.
     """
 
     __slots__ = ("field", "dim", "vectors", "pivot_indices", "gammas")
@@ -372,64 +371,50 @@ def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
     return keep
 
 
-def _orthogonalize_tracked(field: Field, vectors: Sequence[Vector]):
-    """Valuation-pivoted orthogonalization.
-
-    Returns (basis, exprs) where exprs[i] gives the coefficients of basis
-    vector i over the original input list.
-    """
-    if vectors:
-        dim = vectors[0].dim
-        for v in vectors:
-            if v.dim != dim:
-                raise DimensionError("vectors of unequal dimension")
-    else:
-        dim = 0
-    n = len(vectors)
-    # eliminating with a chosen vector keeps the rest independent, so the
-    # dependent entries are absorbed once, up front
-    work = [
-        {"vec": vectors[i], "expr": list(Vector.unit(field, n, i).coords)}
-        for i in independent_indices(field, vectors)
-    ]
-    out_vecs: List[Vector] = []
-    out_pivots: List[int] = []
-    out_gammas: List[int] = []
-    out_exprs: List[List[FieldElement]] = []
-    while work:
-        chosen = work.pop(least_valuation_index([w["vec"] for w in work]))
-        u = chosen["vec"]
-        sel_val = u.val()
-        gamma = sel_val.value
-        # pivot: least coordinate index realizing the vector valuation
-        pivot = next(i for i, a in enumerate(u.coords) if a.val() == sel_val)
-        inv_top = u[pivot].inverse()
-        for w in work:
-            top = w["vec"][pivot]
-            if top.is_zero:
-                continue
-            c = top * inv_top
-            w["vec"] = w["vec"] - u.scale(c)
-            w["expr"] = [e - c * f for e, f in zip(w["expr"], chosen["expr"])]
-        out_vecs.append(u)
-        out_pivots.append(pivot)
-        out_gammas.append(gamma)
-        out_exprs.append(chosen["expr"])
-    basis = OrthoBasis(field, dim, out_vecs, out_pivots, out_gammas)
-    return basis, out_exprs
-
-
-def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None) -> OrthoBasis:
+def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
+                  on: Optional[Sequence[int]] = None) -> OrthoBasis:
     """Valuation-orthogonal basis of the O-span of the given vectors.
 
-    Dependent vectors are absorbed by dropping, at each dependency, the
-    coefficient of minimal valuation; this keeps the O-span exactly.
+    Valuations, pivots and the drop rule read only the coordinates listed
+    in ``on`` (default: all of them), while every row operation acts on
+    whole vectors.  The returned vectors are combinations of the inputs
+    whose projections onto ``on`` form a valuation-orthogonal basis of the
+    O-span of the projected inputs; pivots index the whole vectors and
+    weights are valuations of the projections.
+
+    Dependent vectors are absorbed first by ``independent_indices``, which
+    keeps the O-span exactly; eliminating with a chosen vector keeps the
+    rest independent, so nothing is dropped after that.
     """
     if field is None:
         if not vectors:
             raise ValueError("cannot infer field from an empty list")
         field = vectors[0].field
-    return _orthogonalize_tracked(field, vectors)[0]
+    dim = vectors[0].dim if vectors else 0
+    for v in vectors:
+        if v.dim != dim:
+            raise DimensionError("vectors of unequal dimension")
+    if on is None:
+        on = range(dim)
+    work = [vectors[i] for i in independent_indices(field, [v.project(on) for v in vectors])]
+    out_vecs: List[Vector] = []
+    out_pivots: List[int] = []
+    out_gammas: List[int] = []
+    while work:
+        projected = [w.project(on) for w in work]
+        k = least_valuation_index(projected)
+        u, gamma = work.pop(k), projected[k].val()
+        # pivot: least coordinate index realizing the projected valuation
+        pivot = on[next(j for j, a in enumerate(projected[k]) if a.val() == gamma)]
+        inv_top = u[pivot].inverse()
+        for i, w in enumerate(work):
+            top = w[pivot]
+            if not top.is_zero:
+                work[i] = w - u.scale(top * inv_top)
+        out_vecs.append(u)
+        out_pivots.append(pivot)
+        out_gammas.append(gamma.value)
+    return OrthoBasis(field, dim, out_vecs, out_pivots, out_gammas)
 
 
 FREE = "free"
@@ -441,9 +426,9 @@ class ScaleSystem:
     constrained to the valuation ring (``FREE`` coordinates unconstrained).
 
     The kernel of G splits into a fully free part (supported on FREE
-    coordinates only) and a complement; the integral-coordinate projections
-    of the complement are orthogonalized once, after which each box query
-    costs one reduction.
+    coordinates only) and a complement; the complement is orthogonalized
+    once on the integral coordinates, after which each box query costs one
+    solve and one reduction.
     """
 
     def __init__(self, G: Matrix, scales: Sequence[str]):
@@ -452,50 +437,25 @@ class ScaleSystem:
         for s in scales:
             if s not in (FREE, INTEGRAL):
                 raise ValueError(f"unknown scale marker {s!r}")
-        self.G = G
-        self.scales = tuple(scales)
-        self.field = G.field
-        field = G.field
+        field = self.field = G.field
         self.solver = LinearSolver(G)
-        self.kernel_basis = self.solver.kernel()
+        kernel = self.solver.kernel()
         self.int_indices = [i for i, s in enumerate(scales) if s == INTEGRAL]
-        k = len(self.kernel_basis)
-        if not self.int_indices or k == 0:
-            self.free_part = list(self.kernel_basis)
-            self.integral_part: List[Vector] = []
-            self._ortho = OrthoBasis(field, len(self.int_indices), (), (), ())
-            self._pullbacks: List[Vector] = []
-            return
-        projected = [b.project(self.int_indices) for b in self.kernel_basis]
-        P = Matrix.from_cols(field, projected, nrows=len(self.int_indices))
+        K = Matrix.from_cols(field, kernel, nrows=G.ncols)
+        P = Matrix.from_cols(field, [b.project(self.int_indices) for b in kernel],
+                             nrows=len(self.int_indices))
         psolver = LinearSolver(P)
         # kernel of the projection = combinations supported on FREE coordinates
-        self.free_part = []
-        for beta in psolver.kernel():
-            acc = Vector.zero(field, G.ncols)
-            for c, b in zip(beta.coords, self.kernel_basis):
-                if not c.is_zero:
-                    acc = acc + b.scale(c)
-            self.free_part.append(acc)
-        # pivot columns pick a complement of that kernel
-        complement_idx = [c for _, c in psolver.pivots]
-        comp_proj = [projected[j] for j in complement_idx]
-        comp_full = [self.kernel_basis[j] for j in complement_idx]
-        ortho, exprs = _orthogonalize_tracked(field, comp_proj)
-        self._ortho = ortho
-        # pullbacks through the projection: p_I(pullback[i]) = ortho vector i
-        self._pullbacks = []
-        for expr in exprs:
-            acc = Vector.zero(field, G.ncols)
-            for c, b in zip(expr, comp_full):
-                if not c.is_zero:
-                    acc = acc + b.scale(c)
-            self._pullbacks.append(acc)
-        # integral points of the projected subspace: rescale each basis
-        # vector to valuation 0 wrt its weight
+        self.free_part = [K.mul_vec(beta) for beta in psolver.kernel()]
+        # pivot columns pick a complement of that kernel, whose projections
+        # are independent
+        complement = [kernel[c] for _, c in psolver.pivots]
+        self._ortho = orthogonalize(complement, field=field, on=self.int_indices)
+        # integral points of the complement: rescale each basis vector to
+        # valuation 0 on the integral coordinates, by its weight
         self.integral_part = [
             w.scale(field.uniformizer_pow(-g))
-            for w, g in zip(self._pullbacks, ortho.gammas)
+            for w, g in zip(self._ortho.vectors, self._ortho.gammas)
         ]
 
     def solve_box(self, x: Vector) -> Optional[Vector]:
@@ -503,17 +463,11 @@ class ScaleSystem:
         c0 = self.solver.solve(x)
         if c0 is None:
             return None
-        if not self.int_indices:
-            return c0
-        t = c0.project(self.int_indices)
-        cs, rest = self._ortho.reduce(t)
-        # rest has maximal valuation in its coset of the projected subspace,
-        # so a box point exists exactly when rest is coordinatewise integral
-        if rest.val() >= 0:
-            out = c0
-            for c, w in zip(cs, self._pullbacks):
-                if not c.is_zero:
-                    out = out - w.scale(c)
+        # the residual's integral coordinates have maximal valuation in the
+        # coset of the projected complement, so a box point exists exactly
+        # when they are integral
+        _, out = self._ortho.reduce(c0)
+        if out.project(self.int_indices).val() >= 0:
             return out
         return None
 

@@ -239,6 +239,19 @@ def test_digit_run_above_limit_exits_2(capsys):
     assert code == EXIT_OK
 
 
+def test_non_ascii_digits_exit_2(capsys):
+    for sel, entry, pos in (("padic:2", "\u00b2", 0), ("padic:2", "\u0661\u0662/\u0663", 0),
+                            ("ratfunc:0", "t^\u00b2", 2)):
+        code, out = run(["hull", "--field", sel, "--json"],
+                        json.dumps({"points": [[entry, "1"]]}))
+        assert code == EXIT_USAGE and out == ""
+        assert f"(at position {pos})" in capsys.readouterr().err
+    code, out = run(["hull", "--field", "padic:\u0662", "--json"],
+                    json.dumps({"points": [["1"]]}))
+    assert code == EXIT_USAGE and out == ""
+    assert "bad field selector" in capsys.readouterr().err
+
+
 def test_shatter_caps_input_size(capsys):
     pts = [[str(i), "0"] for i in range(13)]
     code, out = run(["shatter", "--json"], json.dumps({"points": pts}))

@@ -20,7 +20,8 @@ def test_selector_roundtrip():
 
 def test_selector_rejects_bad_input():
     for sel in ("padic:4", "padic:1", "padic:-3", "ratfunc:4", "ratfunc:-1",
-                "ratfunc:1", "foo:2", "padic", "padic:", "padic:2:3"):
+                "ratfunc:1", "foo:2", "padic", "padic:", "padic:2:3", "padic:\u0662",
+                "padic:+2", "padic: 2"):
         with pytest.raises((ValueError, ParseError)):
             Field.from_selector(sel)
 
@@ -189,11 +190,12 @@ def test_uniformizer_powers():
 
 def test_parse_errors():
     f2 = Field.padic(2)
-    for bad in ("", "1/0", "one", "1//2", "--3"):
+    for bad in ("", "1/0", "one", "1//2", "--3", "\u0661\u0662/\u0663", "\u00b2", "1/\u00b2"):
         with pytest.raises(ParseError):
             f2.parse(bad)
     r0 = Field.ratfunc(0)
-    for bad in ("", "(t)/(0)", "t^", "t^-1", "(t", f"t^{MAX_EXPONENT + 1}", "1/0*t"):
+    for bad in ("", "(t)/(0)", "t^", "t^-1", "(t", f"t^{MAX_EXPONENT + 1}", "1/0*t",
+                "t^\u00b2", "\u00b2*t", "t+\u0661"):
         with pytest.raises(ParseError):
             r0.parse(bad)
     assert r0.parse(f"t^{MAX_EXPONENT}").val() == MAX_EXPONENT
