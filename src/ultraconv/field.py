@@ -3,7 +3,9 @@
 Two field backends share one element interface:
 
 * ``Field.padic(p)``: the rational numbers carrying the p-adic valuation.
-  Elements are reduced fractions of arbitrary-precision integers.
+  An element is a pair (numerator, denominator) of coprime
+  arbitrary-precision integers with a positive denominator; zero is
+  ``(0, 1)``.
 * ``Field.ratfunc(char)``: rational functions in one variable ``t`` with the
   order-of-vanishing valuation at ``t = 0``.  Coefficients live in Q when the
   characteristic is 0 and in the prime field F_q otherwise.  An element is a
@@ -537,51 +539,88 @@ class _PolyParser:
 # payload operation tables
 
 class _PadicOps:
-    """Operations on Fraction payloads with the p-adic valuation."""
+    """Operations on (numerator, denominator) integer payloads with the
+    p-adic valuation.
+
+    A payload is canonical: the two integers are coprime, the denominator
+    is positive and zero is ``(0, 1)``.  Operands are canonical, so only
+    the factors that Henrici's rules name can cancel: across the two
+    fractions of a product, and in a sum only the gcd of the denominators.
+    """
 
     def __init__(self, p: int):
         self.p = p
 
     def add(self, a, b):
-        return a + b
+        n1, d1 = a
+        n2, d2 = b
+        g = math.gcd(d1, d2)
+        if g == 1:
+            return (n1 * d2 + n2 * d1, d1 * d2)
+        s = d1 // g
+        t = n1 * (d2 // g) + n2 * s
+        g2 = math.gcd(t, g)
+        if g2 == 1:
+            return (t, s * d2)
+        return (t // g2, s * (d2 // g2))
 
     def sub(self, a, b):
-        return a - b
+        n1, d1 = a
+        n2, d2 = b
+        g = math.gcd(d1, d2)
+        if g == 1:
+            return (n1 * d2 - n2 * d1, d1 * d2)
+        s = d1 // g
+        t = n1 * (d2 // g) - n2 * s
+        g2 = math.gcd(t, g)
+        if g2 == 1:
+            return (t, s * d2)
+        return (t // g2, s * (d2 // g2))
 
     def mul(self, a, b):
-        return a * b
+        n1, d1 = a
+        n2, d2 = b
+        g1 = math.gcd(n1, d2)
+        if g1 > 1:
+            n1, d2 = n1 // g1, d2 // g1
+        g2 = math.gcd(n2, d1)
+        if g2 > 1:
+            n2, d1 = n2 // g2, d1 // g2
+        return (n1 * n2, d1 * d2)
 
     def div(self, a, b):
-        if not b:
+        if not b[0]:
             raise ZeroDivisionError("division by zero field element")
-        return a / b
+        return self.mul(a, self.inv(b))
 
     def neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def inv(self, a):
-        if not a:
+        n, d = a
+        if not n:
             raise ZeroDivisionError("inverse of zero field element")
-        return 1 / a
+        return (d, n) if n > 0 else (-d, -n)
 
     def is_zero(self, a) -> bool:
-        return not a
+        return not a[0]
 
     def val(self, a) -> Valuation:
-        if not a:
+        if not a[0]:
             return INFINITY
-        return Valuation(_int_val(a.numerator, self.p) - _int_val(a.denominator, self.p))
+        return Valuation(_int_val(a[0], self.p) - _int_val(a[1], self.p))
 
     def uniformizer_pow(self, k: int):
         if k >= 0:
-            return Fraction(self.p**k)
-        return Fraction(1, self.p**-k)
+            return (self.p**k, 1)
+        return (1, self.p**-k)
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return (n, 1)
 
     def render(self, a) -> str:
-        return str(a)
+        n, d = a
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def parse(self, text: str):
         i = 0
@@ -614,32 +653,39 @@ class _PadicOps:
             i += 1
         if i != n:
             raise ParseError("trailing characters", i)
-        return Fraction(num, den)
+        g = math.gcd(num, den)
+        return (num // g, den // g)
 
     def grooming_unit(self, payloads):
         L = 1
-        for f in payloads:
-            L = L * f.denominator // math.gcd(L, f.denominator)
+        for _, d in payloads:
+            L = L * d // math.gcd(L, d)
         k = _int_val(L, self.p)
         g = 0
-        for f in payloads:
-            g = math.gcd(g, f.numerator * (L // f.denominator))
+        for n, d in payloads:
+            g = math.gcd(g, n * (L // d))
         g //= self.p ** _int_val(g, self.p)
-        return Fraction(L // self.p**k, g)
+        L //= self.p**k
+        c = math.gcd(L, g)
+        return (L // c, g // c)
 
     def integral_part(self, a):
         """Split off the tail of the p-power expansion: the result has
         valuation >= 0 and differs from the input by u / p^k with
         0 <= u < p^k."""
-        if not a:
+        num, den = a
+        if not num:
             return a
-        k = _int_val(a.denominator, self.p)
+        k = _int_val(den, self.p)
         if k == 0:
             return a
         pk = self.p**k
-        unit = a.denominator // pk
-        u = (a.numerator * pow(unit, -1, pk)) % pk
-        return a - Fraction(u, pk)
+        unit = den // pk
+        u = (num * pow(unit, -1, pk)) % pk
+        # a - u/p^k = (num - u*unit) / den
+        num -= u * unit
+        g = math.gcd(num, den)
+        return (num // g, den // g)
 
 
 class _RatFuncOps:
@@ -834,12 +880,20 @@ class Field:
 
     @classmethod
     def from_selector(cls, selector: str) -> "Field":
-        """Build from a ``padic:<p>`` or ``ratfunc:<char>`` selector string."""
+        """Build from a ``padic:<p>`` or ``ratfunc:<char>`` selector string.
+
+        The parameter must be below ``2**64``, where primality is decided
+        exactly and cheaply; ``padic`` and ``ratfunc`` take larger primes.
+        """
         kind, sep, arg = selector.partition(":")
         if (not sep or kind not in (cls._PADIC, cls._RATFUNC)
                 or not arg or not set(arg) <= _ASCII_DIGITS):
             raise ValueError(f"bad field selector {selector!r}")
-        return cls(kind, int(arg))
+        digits = arg.lstrip("0") or "0"
+        if len(digits) > len(str(_DETERMINISTIC_BOUND)) or int(digits) >= _DETERMINISTIC_BOUND:
+            raise ValueError(f"bad field selector: the {len(digits)}-digit parameter "
+                             f"is not below 2**64")
+        return cls(kind, int(digits))
 
     @property
     def selector(self) -> str:

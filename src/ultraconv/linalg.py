@@ -6,7 +6,8 @@ elimination keeps only the rows it answers from; no transform or
 expression list is carried alongside.  This module provides:
 
 * ``LinearSolver``: the reduced row echelon form of a matrix, its kernel,
-  and particular solutions read off the reduced form of [A | b],
+  and particular solutions read off the reduced form of [A | b]; its row
+  operations act on raw payloads through the field's operation table,
 * ``independent_indices``: the one dependency-drop rule (drop the
   coefficient of least valuation in the first kernel vector), which keeps
   both the K-span and the O-span of a list of vectors,
@@ -186,37 +187,47 @@ class LinearSolver:
     """The reduced row echelon form of a matrix A, with its kernel and
     particular solutions of A c = b.
 
-    Only row operations on A itself are kept; each right-hand side is
-    appended to A as a last column and reduced afresh.  The reduced form is
-    unique, so answers do not depend on how the reduction is ordered.
+    Row operations act on raw payloads through ``field.ops``, one code path
+    for every field; ``reduced`` holds payloads, and ``solve`` and
+    ``kernel`` wrap what they return as field elements.  Only row
+    operations on A itself are kept; each right-hand side is appended to A
+    as a last column and reduced afresh.  The reduced form is unique, so
+    answers do not depend on how the reduction is ordered.
     """
 
     def __init__(self, A: Matrix):
         self.A = A
         self.field = A.field
+        ops = A.field.ops
+        mul, sub, inv, is_zero = ops.mul, ops.sub, ops.inv, ops.is_zero
         m, n = A.nrows, A.ncols
-        red = [list(r) for r in A.entries]
+        red = [[a.data for a in r] for r in A.entries]
         pivots: List[Tuple[int, int]] = []  # (row, col), rows in order 0..rank-1
         rank = 0
         for col in range(n):
             sel = None
             for r in range(rank, m):
-                if not red[r][col].is_zero:
+                if not is_zero(red[r][col]):
                     sel = r
                     break
             if sel is None:
                 continue
             if sel != rank:
                 red[rank], red[sel] = red[sel], red[rank]
-            inv = red[rank][col].inverse()
-            red[rank] = [inv * a for a in red[rank]]
+            # the pivot row vanishes left of col, so row operations start there
+            row = red[rank]
+            c = inv(row[col])
+            piv = [mul(c, a) for a in row[col:]]
+            row[col:] = piv
             for r in range(m):
                 if r == rank:
                     continue
-                f = red[r][col]
-                if f.is_zero:
+                row = red[r]
+                f = row[col]
+                if is_zero(f):
                     continue
-                red[r] = [a - f * b for a, b in zip(red[r], red[rank])]
+                row[col:] = [a if is_zero(b) else sub(a, mul(f, b))
+                             for a, b in zip(row[col:], piv)]
             pivots.append((rank, col))
             rank += 1
             if rank == m:
@@ -237,19 +248,21 @@ class LinearSolver:
         A = self.A
         if b.dim != A.nrows:
             raise DimensionError("right-hand side dimension mismatch")
+        field = self.field
         n = A.ncols
-        aug = LinearSolver(Matrix(self.field, [r + (x,) for r, x in zip(A.entries, b.coords)],
+        aug = LinearSolver(Matrix(field, [r + (x,) for r, x in zip(A.entries, b.coords)],
                                   ncols=n + 1))
         if aug.pivots and aug.pivots[-1][1] == n:
             return None
-        out = [self.field.zero] * n
+        out = [field.zero] * n
         for r, c in aug.pivots:
-            out[c] = aug.reduced[r][n]
-        return Vector(self.field, out)
+            out[c] = FieldElement(field, aug.reduced[r][n])
+        return Vector(field, out)
 
     def kernel(self) -> List[Vector]:
         """A basis of the kernel, one vector per free column, in column order."""
         field = self.field
+        ops = field.ops
         n = self.A.ncols
         out = []
         for f in self.free_cols:
@@ -257,8 +270,8 @@ class LinearSolver:
             v[f] = field.one
             for r, c in self.pivots:
                 entry = self.reduced[r][f]
-                if not entry.is_zero:
-                    v[c] = -entry
+                if not ops.is_zero(entry):
+                    v[c] = FieldElement(field, ops.neg(entry))
             out.append(Vector(field, v))
         return out
 

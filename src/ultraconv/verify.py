@@ -122,8 +122,8 @@ def prop_canonical_idempotent(field: Field, seed: int, trials: int) -> PropertyR
     for t in range(trials):
         x = s.element()
         if field.kind == "padic":
-            fr = x.data
-            again = field.fraction(fr.numerator * 7, fr.denominator * 7)
+            num, den = x.data
+            again = field.fraction(num * 7, den * 7)
         else:
             shared = field.uniformizer_pow(1) + field.one  # t + 1
             again = (x * shared) / shared

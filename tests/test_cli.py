@@ -252,6 +252,21 @@ def test_non_ascii_digits_exit_2(capsys):
     assert "bad field selector" in capsys.readouterr().err
 
 
+def test_selector_parameter_at_or_above_2_64_exits_2(capsys):
+    """A huge prime parameter is refused at once, without a primality test
+    on it and without echoing its digits."""
+    for arg in (str(2**4423 - 1), str(2**64), "0" * 5000 + str(2**64 + 13)):
+        code, out = run(["hull", "--field", f"padic:{arg}", "--json"],
+                        json.dumps({"points": [["1"]]}))
+        assert code == EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert "bad field selector" in err and "2**64" in err
+        assert len(err) < 200
+    code, out = run(["hull", "--field", f"ratfunc:{2**64 - 59}", "--json"],
+                    json.dumps({"points": [["1"]]}))
+    assert code == EXIT_OK
+
+
 def test_shatter_caps_input_size(capsys):
     pts = [[str(i), "0"] for i in range(13)]
     code, out = run(["shatter", "--json"], json.dumps({"points": pts}))

@@ -21,7 +21,7 @@ def test_selector_roundtrip():
 def test_selector_rejects_bad_input():
     for sel in ("padic:4", "padic:1", "padic:-3", "ratfunc:4", "ratfunc:-1",
                 "ratfunc:1", "foo:2", "padic", "padic:", "padic:2:3", "padic:\u0662",
-                "padic:+2", "padic: 2"):
+                "padic:+2", "padic: 2", f"padic:{2**4423 - 1}"):
         with pytest.raises((ValueError, ParseError)):
             Field.from_selector(sel)
 
