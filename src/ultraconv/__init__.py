@@ -10,10 +10,7 @@ from .field import (
     FieldElement,
     INFINITY,
     ParseError,
-    Valuation,
-    is_integral,
     is_prime,
-    val,
 )
 from .linalg import (
     DimensionError,
@@ -77,8 +74,7 @@ from .verify import PropertyResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "FieldElement", "Valuation", "INFINITY", "ParseError",
-    "val", "is_integral", "is_prime",
+    "Field", "FieldElement", "INFINITY", "ParseError", "is_prime",
     "Vector", "Matrix", "LinearSolver", "OrthoBasis", "DimensionError",
     "orthogonalize", "coords", "solve", "constrained_kernel", "mixed_solve",
     "FREE", "INTEGRAL",

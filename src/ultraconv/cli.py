@@ -80,6 +80,8 @@ def _read_payload(stdin) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise PayloadError(f"stdin is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise PayloadError("stdin JSON nests too deeply") from None
 
 
 def _need(payload: Any, key: str) -> Any:

@@ -38,7 +38,7 @@ def _groom_free(field: Field, v: Vector) -> Vector:
     w = v.groomed()
     if w.is_zero:
         return w
-    shift = w.val().value
+    shift = w.val()
     if shift:
         w = w.scale(field.uniformizer_pow(-shift))
     return w

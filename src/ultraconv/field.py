@@ -21,7 +21,10 @@ Two field backends share one element interface:
   grammar and rendering do not depend on the storage: text shows the
   denominator monic, with fraction coefficients in characteristic 0.
 
-Elements are immutable; all operations are pure and exact.
+Valuations are plain ints, so the weights gamma_i built on them are ints
+too; the valuation of 0 is ``INFINITY`` (``math.inf``), which compares above
+every int and absorbs addition.  Elements are immutable; all operations are
+pure and exact.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 
 class ParseError(ValueError):
@@ -40,94 +43,8 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Valuation:
-    """An integer extended with +infinity, the codomain of valuation maps.
-
-    Infinity compares above every integer and is absorbing for addition;
-    ``Valuation(None)`` (also exported as ``INFINITY``) is the value of 0.
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, value: Optional[int] = None):
-        if value is not None and not isinstance(value, int):
-            raise TypeError(f"valuation must be an int or None, got {value!r}")
-        self._v = value
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
-
-    @property
-    def value(self) -> int:
-        """The finite value; raises on infinity."""
-        if self._v is None:
-            raise ValueError("infinite valuation has no integer value")
-        return self._v
-
-    @staticmethod
-    def _coerce(other: Union["Valuation", int]) -> "Valuation":
-        if isinstance(other, Valuation):
-            return other
-        if isinstance(other, int):
-            return Valuation(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: Union["Valuation", int]) -> "Valuation":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._v is None or o._v is None:
-            return INFINITY
-        return Valuation(self._v + o._v)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Valuation":
-        return Valuation(-self.value)
-
-    def __sub__(self, other: Union["Valuation", int]) -> "Valuation":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self._v is None:
-            return INFINITY
-        return Valuation(self._v - o.value)
-
-    def _key(self):
-        return (1, 0) if self._v is None else (0, self._v)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        return self._v == other._v
-
-    def __hash__(self):
-        return hash(("Valuation", self._v))
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        return self._key() < o._key()
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return self._key() <= o._key()
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return self._key() > o._key()
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return self._key() >= o._key()
-
-    def __repr__(self) -> str:
-        return "inf" if self._v is None else str(self._v)
-
-
-INFINITY = Valuation(None)
+# The valuation of 0: above every integer, and absorbing for addition.
+INFINITY = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +522,10 @@ class _PadicOps:
     def is_zero(self, a) -> bool:
         return not a[0]
 
-    def val(self, a) -> Valuation:
+    def val(self, a) -> int:
         if not a[0]:
             return INFINITY
-        return Valuation(_int_val(a[0], self.p) - _int_val(a[1], self.p))
+        return _int_val(a[0], self.p) - _int_val(a[1], self.p)
 
     def uniformizer_pow(self, k: int):
         if k >= 0:
@@ -758,10 +675,10 @@ class _RatFuncOps:
     def is_zero(self, a) -> bool:
         return not a[0]
 
-    def val(self, a) -> Valuation:
+    def val(self, a) -> int:
         if not a[0]:
             return INFINITY
-        return Valuation(_pord(a[0]) - _pord(a[1]))
+        return _pord(a[0]) - _pord(a[1])
 
     def uniformizer_pow(self, k: int):
         tk = (0,) * abs(k) + (1,)
@@ -1031,7 +948,8 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.field.ops.is_zero(self.data)
 
-    def val(self) -> Valuation:
+    def val(self) -> int:
+        """The valuation, an int; ``INFINITY`` exactly for 0."""
         return self.field.ops.val(self.data)
 
     @property
@@ -1063,19 +981,15 @@ class FieldElement:
     # text ------------------------------------------------------------------
 
     def render(self) -> str:
-        return self.field.ops.render(self.data)
+        try:
+            return self.field.ops.render(self.data)
+        except ValueError:
+            # str() of an int refuses more than MAX_DIGITS digits
+            raise ValueError(f"result too long to print: it holds an integer of more "
+                             f"than MAX_DIGITS = {MAX_DIGITS} digits") from None
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return self.render()
-
-
-def val(x: FieldElement) -> Valuation:
-    """Valuation of x; INFINITY exactly for 0."""
-    return x.val()
-
-
-def is_integral(x: FieldElement) -> bool:
-    return x.is_integral

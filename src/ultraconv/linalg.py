@@ -13,7 +13,8 @@ expression list is carried alongside.  This module provides:
   both the K-span and the O-span of a list of vectors,
 * ``orthogonalize``: a valuation-orthogonal basis of the O-span of a list of
   vectors, built by valuation-pivoted elimination after that rule, with
-  valuations and pivots read on all coordinates or on a chosen subset,
+  valuations and pivots read on all coordinates or on a chosen subset; its
+  weights gamma_i are ints, the valuations of the basis vectors,
 * ``ScaleSystem`` (``constrained_kernel`` / ``mixed_solve``): kernels and
   affine systems where a chosen subset of coordinates is constrained to
   the valuation ring O.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .field import Field, FieldElement, INFINITY, Valuation
+from .field import Field, FieldElement, INFINITY
 
 
 class DimensionError(ValueError):
@@ -87,8 +88,8 @@ class Vector:
                 f"dimension mismatch: {len(self.coords)} vs {len(other.coords)}"
             )
 
-    def val(self) -> Valuation:
-        """Minimum coordinate valuation; INFINITY for the zero vector."""
+    def val(self) -> int:
+        """Minimum coordinate valuation, an int; INFINITY for the zero vector."""
         out = INFINITY
         for a in self.coords:
             v = a.val()
@@ -303,7 +304,7 @@ def coords(basis: Sequence[Vector], x: Vector, field: Optional[Field] = None) ->
 
 class OrthoBasis:
     """A valuation-orthogonal family: vectors u_i with pivot coordinates
-    pi(i) and weights gamma_i = val(u_i) such that
+    pi(i) and int weights gamma_i = val(u_i) such that
 
         val(sum c_i u_i) = min_i (val(c_i) + gamma_i).
 
@@ -386,7 +387,7 @@ def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
 
 def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
                   on: Optional[Sequence[int]] = None) -> OrthoBasis:
-    """Valuation-orthogonal basis of the O-span of the given vectors.
+    """A valuation-orthogonal basis of the O-span of the given vectors.
 
     Valuations, pivots and the drop rule read only the coordinates listed
     in ``on`` (default: all of them), while every row operation acts on
@@ -426,7 +427,7 @@ def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
                 work[i] = w - u.scale(top * inv_top)
         out_vecs.append(u)
         out_pivots.append(pivot)
-        out_gammas.append(gamma.value)
+        out_gammas.append(gamma)
     return OrthoBasis(field, dim, out_vecs, out_pivots, out_gammas)
 
 

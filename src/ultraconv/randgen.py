@@ -62,14 +62,14 @@ class Sampler:
         """An element of the valuation ring (possibly zero)."""
         x = self.element()
         v = x.val()
-        if v.is_infinite or v.value >= 0:
+        if v >= 0:
             return x
-        return x * self.field.uniformizer_pow(-v.value)
+        return x * self.field.uniformizer_pow(-v)
 
     def unit(self) -> FieldElement:
         """An element of valuation exactly 0."""
         x = self.element(nonzero=True)
-        return x * self.field.uniformizer_pow(-x.val().value)
+        return x * self.field.uniformizer_pow(-x.val())
 
     # vectors and points ----------------------------------------------------
 

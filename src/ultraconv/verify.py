@@ -367,7 +367,7 @@ def prop_hull_minimality(field: Field, seed: int, trials: int) -> PropertyResult
             v = (p - center).val()
             if v < radius:
                 radius = v
-        ball = quasi_ball(center, FULL) if radius.is_infinite else quasi_ball(center, radius.value)
+        ball = quasi_ball(center, FULL if radius == INFINITY else radius)
         if not subset(hull, ball):
             res.record(f"trial {t}: hull escapes an enclosing ball")
     return res
@@ -509,7 +509,7 @@ def prop_min_gamma_is_min_valuation(field: Field, seed: int, trials: int) -> Pro
         line = s.vector(d, nonzero=True)
         bigger = MixedModule(field, d, (line,), module.integral_gens)
         for bound in (10, 20):
-            shift = line.val().value
+            shift = line.val()
             deep = line.scale(field.uniformizer_pow(-bound - shift))
             if not (deep.val() <= -bound and bigger.member(deep)):
                 res.record(f"trial {t}: full line fails to go below -{bound}")

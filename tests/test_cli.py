@@ -12,10 +12,16 @@ def run(argv, stdin_text=""):
     return code, out.getvalue()
 
 
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: it holds {name}")
+
+
 def run_json(argv, payload=None):
+    """Exit code and parsed report; the report must be strict JSON (no
+    NaN or Infinity)."""
     text = "" if payload is None else json.dumps(payload)
     code, out = run(argv, text)
-    return code, (json.loads(out) if out else None)
+    return code, (json.loads(out, parse_constant=_reject_constant) if out else None)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +168,9 @@ def test_usage_errors_exit_2():
     # radon with too few points
     code, _ = run(["radon"], '{"points": [["0"], ["1"]]}')
     assert code == EXIT_USAGE
+    # JSON nested too deeply for the decoder
+    code, _ = run(["hull"], "[" * 200000)
+    assert code == EXIT_USAGE
 
 
 def test_empty_set_dim_must_be_a_positive_integer():
@@ -237,6 +246,19 @@ def test_digit_run_above_limit_exits_2(capsys):
     code, out = run(["hull", "--json"],
                     json.dumps({"points": [["3" * MAX_DIGITS, "1"]]}))
     assert code == EXIT_OK
+
+
+def test_result_integer_above_digit_limit_exits_2(capsys):
+    """A result that would print an integer longer than the input limit is
+    refused with a message naming that limit, not Python's own."""
+    from ultraconv.field import MAX_DIGITS
+    big = "9" * MAX_DIGITS
+    code, out = run(["hull", "--json"],
+                    json.dumps({"points": [[big, "1"], ["-" + big, "0"]]}))
+    assert code == EXIT_USAGE and out == ""
+    err = capsys.readouterr().err
+    assert "too long to print" in err and f"{MAX_DIGITS}" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_non_ascii_digits_exit_2(capsys):

@@ -149,7 +149,7 @@ def oracle_orthogonalize_tracked(field, vectors):
             w["expr"] = [e - c * f for e, f in zip(w["expr"], chosen["expr"])]
         out_vecs.append(u)
         out_pivots.append(pivot)
-        out_gammas.append(sel_val.value)
+        out_gammas.append(sel_val)
         out_exprs.append(chosen["expr"])
     return OrthoBasis(field, dim, out_vecs, out_pivots, out_gammas), out_exprs
 
@@ -263,7 +263,7 @@ def scale_markers(rng, k, trial):
 def integral_element(f, rng):
     x = element(f, rng)
     v = x.val()
-    return x if v.is_infinite or v.value >= 0 else x * f.uniformizer_pow(-v.value)
+    return x if v >= 0 else x * f.uniformizer_pow(-v)
 
 
 def box_targets(f, rng, G, scales):

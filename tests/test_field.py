@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultraconv.field import MAX_DIGITS, MAX_EXPONENT, Field, FieldElement, ParseError, Valuation
+from ultraconv.field import INFINITY, MAX_DIGITS, MAX_EXPONENT, Field, FieldElement, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +34,8 @@ def test_padic_valuation_frozen():
     assert f5.parse("50/3").val() == 2
     assert f5.parse("3/50").val() == -2
     assert f5.parse("7").val() == 0
-    assert f5.parse("0").val().is_infinite
+    assert f5.parse("0").val() == INFINITY
+    assert type(f5.parse("50/3").val()) is int
 
     f2 = Field.padic(2)
     assert f2.parse("7/8").val() == -3
@@ -48,23 +49,25 @@ def test_ratfunc_valuation_frozen():
     assert r0.parse("(t^2 + 1)/(t^3)").val() == -3
     assert r0.parse("(t^3)/(t + 1)").val() == 3
     assert r0.parse("5").val() == 0
-    assert r0.parse("0").val().is_infinite
+    assert r0.parse("0").val() == INFINITY
+    assert type(r0.parse("(t^2 + 1)/(t^3)").val()) is int
 
     r2 = Field.ratfunc(2)
     assert r2.parse("t^2 + t").val() == 1
     # 2 = 0 in characteristic 2
     assert r2.parse("2*t + 1").val() == 0
-    assert r2.parse("2").val().is_infinite
+    assert r2.parse("2").val() == INFINITY
 
 
 def test_valuation_ordering_and_arithmetic():
-    inf = Valuation()
-    assert inf.is_infinite
-    assert inf > 10**9
-    three = Valuation(3)
-    assert three == 3 and three < inf
+    assert INFINITY > 10**9
+    three = Field.padic(2).parse("8").val()
+    assert three == 3 and three < INFINITY
     assert (three + 4) == 7
-    assert (inf + 5).is_infinite
+    assert INFINITY + 5 == INFINITY
+    assert INFINITY + INFINITY == INFINITY
+    assert min(three, INFINITY) == 3
+    assert repr(INFINITY) == "inf" and repr(three) == "3"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from ultraconv.field import Field, INFINITY, Valuation
+from ultraconv.field import Field, INFINITY
 
 PRIMES = (2, 3, 5)
 
@@ -49,7 +49,7 @@ def mult(n: int, p: int) -> int:
 def oracle_val(f: Fraction, p: int):
     if not f:
         return INFINITY
-    return Valuation(mult(f.numerator, p) - mult(f.denominator, p))
+    return mult(f.numerator, p) - mult(f.denominator, p)
 
 
 def oracle_integral_part(f: Fraction, p: int) -> Fraction:

@@ -1,0 +1,91 @@
+"""SHA-256 digest over a fixed set of in-process CLI reports.
+
+Each report is one ``ultraconv.cli.main`` call; the digest covers its argv,
+exit code, stdout and stderr.  The calls are:
+
+* every request of ``perfbench/payloads.requests(w, seed)`` for the four
+  benchmark workloads at seeds 1-8, each as the CLI op of the same name
+  with ``--json``; ``equals`` and ``subset`` have no CLI op, so each such
+  pair is sent as ``intersect`` of the two sets plus ``flag`` and ``box``
+  of each side;
+* ``verify --json`` at seeds 0 and 7 on padic:2 (30 trials), padic:3 (30),
+  ratfunc:3 (6) and ratfunc:0 (2).
+
+A change that must keep every report byte-identical leaves the digest
+unchanged.  Run from the repository root:
+
+    python3 tools/report_digest.py                      # prints "<count> <sha256>"
+    python3 tools/report_digest.py --check tools/report_digest.txt
+
+``--check`` exits 1 when the digest differs from the file's first line.
+The tool reads ``perfbench/`` and ``src/`` and writes nothing.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import payloads  # noqa: E402
+from ultraconv import cli  # noqa: E402
+
+SEEDS = range(1, 9)
+VERIFY = (("padic:2", 30), ("padic:3", 30), ("ratfunc:3", 6), ("ratfunc:0", 2))
+
+
+def calls():
+    """(argv, stdin text) of every report, in a fixed order."""
+    for workload in payloads.WORKLOADS:
+        for seed in SEEDS:
+            for req in payloads.requests(workload, seed):
+                field, pl = ["--field", req["field"], "--json"], req["payload"]
+                if req["op"] in ("equals", "subset"):
+                    yield ["intersect", *field], pl
+                    for side in (pl["first"], pl["second"]):
+                        yield ["flag", *field], {"set": side}
+                        yield ["box", *field], {"set": side}
+                else:
+                    yield [req["op"], *field], pl
+    for seed in (0, 7):
+        for field, trials in VERIFY:
+            yield ["verify", "--field", field, "--seed", str(seed),
+                   "--trials", str(trials), "--json"], None
+
+
+def digest() -> str:
+    h = hashlib.sha256()
+    count = 0
+    for argv, payload in calls():
+        stdin = io.StringIO("" if payload is None else json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv, stdin=stdin, stdout=out)
+        h.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+        count += 1
+    return f"{count} {h.hexdigest()}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", metavar="FILE",
+                    help="compare with the digest on the first line of FILE")
+    args = ap.parse_args()
+    line = digest()
+    print(line)
+    if args.check:
+        expected = Path(args.check).read_text().splitlines()[0].strip()
+        if line != expected:
+            print(f"report digest changed: expected {expected}", file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
