@@ -67,9 +67,7 @@ from .combinatorics import (
     tverberg_partition,
     validate_tverberg,
 )
-from .randgen import Sampler
 from .serialize import PayloadError
-from .verify import PropertyResult, run_suite
 
 __version__ = "0.1.0"
 
@@ -92,3 +90,13 @@ __all__ = [
     "Sampler", "PayloadError", "PropertyResult", "run_suite",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the sampler and the verify suites load on first use, so a CLI call
+    # that needs neither does not pay for their imports
+    from importlib import import_module
+    module = {"Sampler": "randgen", "PropertyResult": "verify", "run_suite": "verify"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

@@ -59,7 +59,6 @@ from .serialize import (
     vector_from_json,
     vector_to_json,
 )
-from .verify import check_two_term_counterexample, run_suite, two_term_counterexample
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -241,6 +240,7 @@ def _run_witness(field: Field, args) -> Dict[str, Any]:
     if name == "frachelly":
         return {"family": family_to_json(hyperplane_family(field, d, args.count))}
     if name == "counterexample":
+        from .verify import check_two_term_counterexample, two_term_counterexample
         pts, weights, combo = two_term_counterexample()
         if not check_two_term_counterexample():
             raise ViolationError("the fixed counterexample no longer checks out")
@@ -254,6 +254,7 @@ def _run_witness(field: Field, args) -> Dict[str, Any]:
 
 
 def _run_verify(field: Field, args) -> Dict[str, Any]:
+    from .verify import run_suite
     results = run_suite(args.suite, field, args.seed, args.trials)
     report = {
         "suite": args.suite,

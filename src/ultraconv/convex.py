@@ -74,7 +74,7 @@ class MixedModule:
         # with no free generators this keeps exactly the nonzero ones
         self._free_basis = orthogonalize(free, field=field)
         kept = [g for g in (v.groomed() for v in integral_gens)
-                if not self._free_basis.reduce(g)[1].is_zero]
+                if not self._free_basis._reduce(g)[1].is_zero]
         self.integral_gens = tuple(kept[i] for i in independent_indices(field, kept))
         self._nf = None
 
@@ -85,7 +85,7 @@ class MixedModule:
         the free pivots).  The two pivot sets are disjoint."""
         if self._nf is None:
             free_basis = self._free_basis
-            reduced = [free_basis.reduce(g)[1] for g in self.integral_gens]
+            reduced = [free_basis._reduce(g)[1] for g in self.integral_gens]
             self._nf = (free_basis, orthogonalize(reduced, field=self.field))
         return self._nf
 
@@ -96,14 +96,13 @@ class MixedModule:
         if x.dim != self.dim:
             raise DimensionError("point dimension mismatch")
         free_basis, int_basis = self.normal_form()
-        _, rest = free_basis.reduce(x)
+        _, rest = free_basis._reduce(x)
         return int_basis.spans_integrally(rest)
 
     def contains_line(self, v: Vector) -> bool:
         """Whether the whole line K*v lies inside the module."""
         free_basis, _ = self.normal_form()
-        _, rest = free_basis.reduce(v)
-        return rest.is_zero
+        return free_basis._reduce(v)[1].is_zero
 
 
 class ConvexSet:
@@ -239,7 +238,7 @@ def radon_point(points: Sequence[Vector]) -> RadonCertificate:
     if not ker:
         raise AssertionError("affine dependency must exist for d+2 points")
     a = ker[0]
-    best = least_valuation_index(a.coords)
+    best = least_valuation_index([c.val() for c in a])
     pivot = a[best]
     coeffs = [-(a[j] / pivot) for j in range(n) if j != best]
     return RadonCertificate(best, coeffs)
@@ -331,12 +330,13 @@ def _coset_shrink(module: "MixedModule", x: Vector) -> Vector:
     free_b, int_b = module.normal_form()
     if not len(free_b) and not len(int_b):
         return x
-    _, rest = free_b.reduce(x)
-    cs, out = int_b.reduce(rest)
+    ops = module.field.ops
+    _, rest = free_b._reduce(x)
+    cs, out = int_b._reduce(rest)
     for c, u in zip(cs, int_b.vectors):
-        f = c.fractional_part()
-        if not f.is_zero:
-            out = out + u.scale(f)
+        f = ops.sub(c, ops.integral_part(c))
+        if not ops.is_zero(f):
+            out = out + u._scale(f)
     return out
 
 

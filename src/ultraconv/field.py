@@ -884,7 +884,7 @@ class Field:
 
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValueError(
                     f"mixed fields: {self.selector} vs {value.field.selector}"
                 )

@@ -1,13 +1,13 @@
 """Exact linear algebra over a valued field.
 
-Everything here is generic over :class:`~ultraconv.field.Field` elements and
-works by exact elimination (divisions are exact in the field).  Each
-elimination keeps only the rows it answers from; no transform or
-expression list is carried alongside.  This module provides:
+Vectors and matrices hold raw payloads, and every operation acts on them
+through the field's operation table (``field.ops``).  ``FieldElement``
+appears only at the API: public constructors take elements of the one
+field, and entries are wrapped as elements only when read.  Divisions are
+exact; each elimination keeps only the rows it answers from.  It provides:
 
 * ``LinearSolver``: the reduced row echelon form of a matrix, its kernel,
-  and particular solutions read off the reduced form of [A | b]; its row
-  operations act on raw payloads through the field's operation table,
+  and particular solutions read off the reduced form of [A | b],
 * ``independent_indices``: the one dependency-drop rule (drop the
   coefficient of least valuation in the first kernel vector), which keeps
   both the K-span and the O-span of a list of vectors,
@@ -21,6 +21,7 @@ expression list is carried alongside.  This module provides:
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .field import Field, FieldElement, INFINITY
@@ -30,79 +31,96 @@ class DimensionError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-class Vector:
-    """An immutable vector with entries in one field."""
+def _same_field(field: Field, other: Field) -> None:
+    if other is not field and other != field:
+        raise ValueError(f"mixed fields: {field.selector} vs {other.selector}")
 
-    __slots__ = ("field", "coords")
+
+def _sub_multiple(ops, x, c, y) -> tuple:
+    """The payloads of x - c*y, skipping the zero entries of y."""
+    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    return tuple([a if is_zero(b) else sub(a, mul(c, b)) for a, b in zip(x, y)])
+
+
+def _vector(field: Field, data: tuple) -> "Vector":
+    v = Vector.__new__(Vector)
+    v.field = field
+    v._data = data
+    return v
+
+
+class Vector:
+    """An immutable vector with entries in one field, stored as payloads."""
+
+    __slots__ = ("field", "_data")
 
     def __init__(self, field: Field, coords: Iterable[FieldElement]):
         self.field = field
-        self.coords = tuple(coords)
+        self._data = tuple(field.coerce(a).data for a in coords)
 
     @classmethod
     def zero(cls, field: Field, dim: int) -> "Vector":
-        return cls(field, (field.zero,) * dim)
+        return _vector(field, (field.zero.data,) * dim)
 
     @classmethod
     def unit(cls, field: Field, dim: int, index: int) -> "Vector":
-        z, o = field.zero, field.one
-        return cls(field, tuple(o if i == index else z for i in range(dim)))
+        z, o = field.zero.data, field.one.data
+        return _vector(field, tuple(o if i == index else z for i in range(dim)))
 
     @classmethod
     def from_ints(cls, field: Field, values: Sequence[int]) -> "Vector":
-        return cls(field, tuple(field.from_int(v) for v in values))
+        return _vector(field, tuple(map(field.ops.from_int, values)))
+
+    @property
+    def coords(self) -> Tuple[FieldElement, ...]:
+        return tuple(self)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self._data)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self._data)
 
     def __getitem__(self, i: int) -> FieldElement:
-        return self.coords[i]
+        return FieldElement(self.field, self._data[i])
 
     def __iter__(self):
-        return iter(self.coords)
+        return (FieldElement(self.field, a) for a in self._data)
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _vector(self.field, tuple(map(self.field.ops.add, self._data, other._data)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check(other)
-        return Vector(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _vector(self.field, tuple(map(self.field.ops.sub, self._data, other._data)))
 
     def __neg__(self) -> "Vector":
-        return Vector(self.field, tuple(-a for a in self.coords))
+        return _vector(self.field, tuple(map(self.field.ops.neg, self._data)))
 
     def scale(self, c: FieldElement) -> "Vector":
-        c = self.field.coerce(c)
-        return Vector(self.field, tuple(c * a for a in self.coords))
+        return self._scale(self.field.coerce(c).data)
+
+    def _scale(self, c) -> "Vector":
+        mul = self.field.ops.mul
+        return _vector(self.field, tuple(mul(c, a) for a in self._data))
 
     def _check(self, other: "Vector") -> None:
-        if self.field != other.field:
-            raise ValueError("mixed fields in vector arithmetic")
-        if len(self.coords) != len(other.coords):
-            raise DimensionError(
-                f"dimension mismatch: {len(self.coords)} vs {len(other.coords)}"
-            )
+        _same_field(self.field, other.field)
+        if len(self._data) != len(other._data):
+            raise DimensionError(f"dimension mismatch: {len(self._data)} vs {len(other._data)}")
 
     def val(self) -> int:
         """Minimum coordinate valuation, an int; INFINITY for the zero vector."""
-        out = INFINITY
-        for a in self.coords:
-            v = a.val()
-            if v < out:
-                out = v
-        return out
+        return min(map(self.field.ops.val, self._data), default=INFINITY)
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.coords)
+        return all(map(self.field.ops.is_zero, self._data))
 
     def project(self, indices: Sequence[int]) -> "Vector":
-        return Vector(self.field, tuple(self.coords[i] for i in indices))
+        return _vector(self.field, tuple(map(self._data.__getitem__, indices)))
 
     def groomed(self) -> "Vector":
         """Rescale by a unit so accumulated denominators cancel.
@@ -110,37 +128,44 @@ class Vector:
         Valuations, spans and O-multiples are unchanged; only the size of
         the stored payloads shrinks.
         """
-        u = self.field.grooming_unit(list(self.coords))
-        if u == self.field.one:
-            return self
-        return self.scale(u)
+        ops = self.field.ops
+        nonzero = [a for a in self._data if not ops.is_zero(a)]
+        u = ops.grooming_unit(nonzero) if nonzero else self.field.one.data
+        return self if u == self.field.one.data else self._scale(u)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return self._data == other._data and (
+            self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self._data))
 
     def render(self) -> List[str]:
-        return [a.render() for a in self.coords]
+        return [a.render() for a in self]
 
     def __repr__(self) -> str:
         return "(" + ", ".join(self.render()) + ")"
 
 
-class Matrix:
-    """An immutable matrix with entries in one field, stored by rows."""
+def _matrix(field: Field, rows: Sequence[tuple], ncols: int) -> "Matrix":
+    M = Matrix.__new__(Matrix)
+    M.field, M._rows, M.nrows, M.ncols = field, tuple(rows), len(rows), ncols
+    return M
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+
+class Matrix:
+    """An immutable matrix with entries in one field, stored as payload rows."""
+
+    __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[FieldElement]], ncols: Optional[int] = None):
         self.field = field
-        self.entries = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.entries)
+        self._rows = tuple(tuple(field.coerce(a).data for a in r) for r in rows)
+        self.nrows = len(self._rows)
         if self.nrows:
-            widths = {len(r) for r in self.entries}
+            widths = {len(r) for r in self._rows}
             if len(widths) != 1:
                 raise DimensionError("ragged rows")
             self.ncols = widths.pop()
@@ -149,33 +174,40 @@ class Matrix:
         else:
             self.ncols = 0 if ncols is None else ncols
 
+    @property
+    def entries(self) -> Tuple[Tuple[FieldElement, ...], ...]:
+        return tuple(tuple(FieldElement(self.field, a) for a in r) for r in self._rows)
+
     @classmethod
     def from_cols(cls, field: Field, cols: Sequence[Vector], nrows: Optional[int] = None) -> "Matrix":
         if not cols:
             if nrows is None:
                 raise DimensionError("cannot infer row count of an empty matrix")
-            return cls(field, [()] * nrows, ncols=0)
+            return _matrix(field, [()] * nrows, 0)
         m = cols[0].dim
         for c in cols:
+            _same_field(field, c.field)
             if c.dim != m:
                 raise DimensionError("columns of unequal dimension")
-        rows = [tuple(c[i] for c in cols) for i in range(m)]
-        return cls(field, rows, ncols=len(cols))
+        return _matrix(field, list(zip(*(c._data for c in cols))), len(cols))
 
     def col(self, j: int) -> Vector:
-        return Vector(self.field, tuple(r[j] for r in self.entries))
+        return _vector(self.field, tuple(r[j] for r in self._rows))
 
     def mul_vec(self, v: Vector) -> Vector:
+        _same_field(self.field, v.field)
         if v.dim != self.ncols:
             raise DimensionError("matrix-vector dimension mismatch")
+        ops = self.field.ops
+        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
         out = []
-        for r in self.entries:
-            acc = self.field.zero
-            for a, b in zip(r, v.coords):
-                if not (a.is_zero or b.is_zero):
-                    acc = acc + a * b
+        for r in self._rows:
+            acc = self.field.zero.data
+            for a, b in zip(r, v._data):
+                if not (is_zero(a) or is_zero(b)):
+                    acc = add(acc, mul(a, b))
             out.append(acc)
-        return Vector(self.field, out)
+        return _vector(self.field, tuple(out))
 
     def render(self) -> List[List[str]]:
         return [[a.render() for a in r] for r in self.entries]
@@ -188,21 +220,19 @@ class LinearSolver:
     """The reduced row echelon form of a matrix A, with its kernel and
     particular solutions of A c = b.
 
-    Row operations act on raw payloads through ``field.ops``, one code path
-    for every field; ``reduced`` holds payloads, and ``solve`` and
-    ``kernel`` wrap what they return as field elements.  Only row
-    operations on A itself are kept; each right-hand side is appended to A
-    as a last column and reduced afresh.  The reduced form is unique, so
-    answers do not depend on how the reduction is ordered.
+    ``reduced`` holds payload rows.  Only row operations on A itself are
+    kept; each right-hand side is appended to A as a last column and
+    reduced afresh.  The reduced form is unique, so answers do not depend
+    on how the reduction is ordered.
     """
 
     def __init__(self, A: Matrix):
         self.A = A
         self.field = A.field
         ops = A.field.ops
-        mul, sub, inv, is_zero = ops.mul, ops.sub, ops.inv, ops.is_zero
+        mul, inv, is_zero = ops.mul, ops.inv, ops.is_zero
         m, n = A.nrows, A.ncols
-        red = [[a.data for a in r] for r in A.entries]
+        red = [list(r) for r in A._rows]
         pivots: List[Tuple[int, int]] = []  # (row, col), rows in order 0..rank-1
         rank = 0
         for col in range(n):
@@ -221,14 +251,9 @@ class LinearSolver:
             piv = [mul(c, a) for a in row[col:]]
             row[col:] = piv
             for r in range(m):
-                if r == rank:
-                    continue
-                row = red[r]
-                f = row[col]
-                if is_zero(f):
-                    continue
-                row[col:] = [a if is_zero(b) else sub(a, mul(f, b))
-                             for a, b in zip(row[col:], piv)]
+                f = red[r][col]
+                if r != rank and not is_zero(f):
+                    red[r][col:] = _sub_multiple(ops, red[r][col:], f, piv)
             pivots.append((rank, col))
             rank += 1
             if rank == m:
@@ -247,33 +272,31 @@ class LinearSolver:
         solution's pivot coordinates.
         """
         A = self.A
+        _same_field(self.field, b.field)
         if b.dim != A.nrows:
             raise DimensionError("right-hand side dimension mismatch")
-        field = self.field
         n = A.ncols
-        aug = LinearSolver(Matrix(field, [r + (x,) for r, x in zip(A.entries, b.coords)],
-                                  ncols=n + 1))
+        aug = LinearSolver(_matrix(self.field, [r + (x,) for r, x in zip(A._rows, b._data)], n + 1))
         if aug.pivots and aug.pivots[-1][1] == n:
             return None
-        out = [field.zero] * n
+        out = [self.field.zero.data] * n
         for r, c in aug.pivots:
-            out[c] = FieldElement(field, aug.reduced[r][n])
-        return Vector(field, out)
+            out[c] = aug.reduced[r][n]
+        return _vector(self.field, tuple(out))
 
     def kernel(self) -> List[Vector]:
         """A basis of the kernel, one vector per free column, in column order."""
-        field = self.field
-        ops = field.ops
+        field, ops = self.field, self.field.ops
         n = self.A.ncols
         out = []
         for f in self.free_cols:
-            v = [field.zero] * n
-            v[f] = field.one
+            v = [field.zero.data] * n
+            v[f] = field.one.data
             for r, c in self.pivots:
                 entry = self.reduced[r][f]
                 if not ops.is_zero(entry):
-                    v[c] = FieldElement(field, ops.neg(entry))
-            out.append(Vector(field, v))
+                    v[c] = ops.neg(entry)
+            out.append(_vector(field, tuple(v)))
         return out
 
 
@@ -327,43 +350,43 @@ class OrthoBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
+    def _reduce(self, x: Vector) -> Tuple[list, Vector]:
+        """Payload coefficients c_i and the residual x - sum c_i u_i."""
+        ops = self.field.ops
+        cs = []
+        rest = x._data
+        for u, p in zip(self.vectors, self.pivot_indices):
+            c = rest[p]
+            if not ops.is_zero(c):
+                c = ops.div(c, u._data[p])
+                rest = _sub_multiple(ops, rest, c, u._data)
+            cs.append(c)
+        return cs, _vector(self.field, rest)
+
     def reduce(self, x: Vector) -> Tuple[List[FieldElement], Vector]:
         """Coefficients c_i and the residual x - sum c_i u_i, which vanishes
         on every pivot coordinate."""
-        cs = []
-        rest = x
-        for u, p in zip(self.vectors, self.pivot_indices):
-            top = rest[p]
-            if top.is_zero:
-                cs.append(self.field.zero)
-                continue
-            c = top / u[p]
-            cs.append(c)
-            rest = rest - u.scale(c)
-        return cs, rest
+        cs, rest = self._reduce(x)
+        return [FieldElement(self.field, c) for c in cs], rest
 
     def coefficients(self, x: Vector) -> Optional[List[FieldElement]]:
         """Coefficients of x in the family, or None when x is outside its span."""
         cs, rest = self.reduce(x)
-        if not rest.is_zero:
-            return None
-        return cs
+        return cs if rest.is_zero else None
 
     def spans_integrally(self, x: Vector) -> bool:
         """Membership of x in the O-span of the family."""
-        cs = self.coefficients(x)
-        if cs is None:
-            return False
-        return all(c.val() >= 0 for c in cs)
+        cs, rest = self._reduce(x)
+        val = self.field.ops.val
+        return rest.is_zero and all(val(c) >= 0 for c in cs)
 
     def gamma_multiset(self) -> Tuple[int, ...]:
         return tuple(sorted(self.gammas))
 
 
-def least_valuation_index(items: Sequence) -> int:
-    """Index of the item (field element or vector) of least valuation,
-    lowest index on ties."""
-    return min(range(len(items)), key=lambda i: items[i].val())
+def least_valuation_index(vals: Sequence[int]) -> int:
+    """Index of the least of the given valuations, lowest index on ties."""
+    return min(range(len(vals)), key=vals.__getitem__)
 
 
 def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
@@ -381,7 +404,7 @@ def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
         ker = LinearSolver(A).kernel()
         if not ker:
             break
-        del keep[least_valuation_index(ker[0].coords)]
+        del keep[least_valuation_index(list(map(field.ops.val, ker[0]._data)))]
     return keep
 
 
@@ -410,22 +433,24 @@ def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
             raise DimensionError("vectors of unequal dimension")
     if on is None:
         on = range(dim)
-    work = [vectors[i] for i in independent_indices(field, [v.project(on) for v in vectors])]
-    out_vecs: List[Vector] = []
-    out_pivots: List[int] = []
-    out_gammas: List[int] = []
+    ops = field.ops
+    work = [vectors[i]._data for i in independent_indices(field, [v.project(on) for v in vectors])]
+    # valuations of each working vector on the coordinates in ``on``
+    vals = [[ops.val(w[j]) for j in on] for w in work]
+    out_vecs, out_pivots, out_gammas = [], [], []
     while work:
-        projected = [w.project(on) for w in work]
-        k = least_valuation_index(projected)
-        u, gamma = work.pop(k), projected[k].val()
+        k = least_valuation_index([min(v) for v in vals])
+        u, uvals = work.pop(k), vals.pop(k)
+        gamma = min(uvals)
         # pivot: least coordinate index realizing the projected valuation
-        pivot = on[next(j for j, a in enumerate(projected[k]) if a.val() == gamma)]
-        inv_top = u[pivot].inverse()
+        pivot = on[uvals.index(gamma)]
+        inv_top = ops.inv(u[pivot])
         for i, w in enumerate(work):
             top = w[pivot]
-            if not top.is_zero:
-                work[i] = w - u.scale(top * inv_top)
-        out_vecs.append(u)
+            if not ops.is_zero(top):
+                work[i] = w = _sub_multiple(ops, w, ops.mul(top, inv_top), u)
+                vals[i] = [ops.val(w[j]) for j in on]
+        out_vecs.append(_vector(field, u))
         out_pivots.append(pivot)
         out_gammas.append(gamma)
     return OrthoBasis(field, dim, out_vecs, out_pivots, out_gammas)
@@ -442,7 +467,8 @@ class ScaleSystem:
     The kernel of G splits into a fully free part (supported on FREE
     coordinates only) and a complement; the complement is orthogonalized
     once on the integral coordinates, after which each box query costs one
-    solve and one reduction.
+    solve and one reduction.  The generators of the constrained kernel,
+    ``free_part`` and ``integral_part``, are built when first read.
     """
 
     def __init__(self, G: Matrix, scales: Sequence[str]):
@@ -453,24 +479,28 @@ class ScaleSystem:
                 raise ValueError(f"unknown scale marker {s!r}")
         field = self.field = G.field
         self.solver = LinearSolver(G)
-        kernel = self.solver.kernel()
+        self._kernel = self.solver.kernel()
         self.int_indices = [i for i, s in enumerate(scales) if s == INTEGRAL]
-        K = Matrix.from_cols(field, kernel, nrows=G.ncols)
-        P = Matrix.from_cols(field, [b.project(self.int_indices) for b in kernel],
+        P = Matrix.from_cols(field, [b.project(self.int_indices) for b in self._kernel],
                              nrows=len(self.int_indices))
-        psolver = LinearSolver(P)
-        # kernel of the projection = combinations supported on FREE coordinates
-        self.free_part = [K.mul_vec(beta) for beta in psolver.kernel()]
-        # pivot columns pick a complement of that kernel, whose projections
-        # are independent
-        complement = [kernel[c] for _, c in psolver.pivots]
+        self._psolver = LinearSolver(P)
+        # pivot columns pick a complement of the projection's kernel, whose
+        # projections are independent
+        complement = [self._kernel[c] for _, c in self._psolver.pivots]
         self._ortho = orthogonalize(complement, field=field, on=self.int_indices)
+
+    @cached_property
+    def free_part(self) -> List[Vector]:
+        # kernel of the projection = combinations supported on FREE coordinates
+        K = Matrix.from_cols(self.field, self._kernel, nrows=self.solver.A.ncols)
+        return [K.mul_vec(beta) for beta in self._psolver.kernel()]
+
+    @cached_property
+    def integral_part(self) -> List[Vector]:
         # integral points of the complement: rescale each basis vector to
         # valuation 0 on the integral coordinates, by its weight
-        self.integral_part = [
-            w.scale(field.uniformizer_pow(-g))
-            for w, g in zip(self._ortho.vectors, self._ortho.gammas)
-        ]
+        pow_ = self.field.ops.uniformizer_pow
+        return [w._scale(pow_(-g)) for w, g in zip(self._ortho.vectors, self._ortho.gammas)]
 
     def solve_box(self, x: Vector) -> Optional[Vector]:
         """Some c with G c = x and integral coordinates in O, else None."""
@@ -480,10 +510,8 @@ class ScaleSystem:
         # the residual's integral coordinates have maximal valuation in the
         # coset of the projected complement, so a box point exists exactly
         # when they are integral
-        _, out = self._ortho.reduce(c0)
-        if out.project(self.int_indices).val() >= 0:
-            return out
-        return None
+        _, out = self._ortho._reduce(c0)
+        return out if out.project(self.int_indices).val() >= 0 else None
 
 
 def constrained_kernel(G: Matrix, scales: Sequence[str]) -> Tuple[List[Vector], List[Vector]]:

@@ -2,7 +2,11 @@
 
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import ultraconv
 from ultraconv.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -319,3 +323,19 @@ def test_empty_flag_must_be_a_boolean(capsys):
         assert "'empty' must be true or false" in capsys.readouterr().err
     code, out = run(["helly"], json.dumps({"family": [{"empty": "yes", "dim": 1}]}))
     assert code == EXIT_USAGE and out == ""
+
+
+def test_cli_import_leaves_verify_and_sampler_unloaded():
+    src = str(Path(ultraconv.__file__).resolve().parent.parent)
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import ultraconv.cli\n"
+        "print([m for m in ('ultraconv.verify', 'ultraconv.randgen', 'dataclasses')"
+        " if m in sys.modules])\n"
+        "from ultraconv import run_suite, PropertyResult, Sampler\n"
+        "print(run_suite.__module__, PropertyResult.__module__, Sampler.__module__)\n"
+    )
+    # -S: no site hooks, which could import any of these on their own
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "ultraconv.verify ultraconv.verify ultraconv.randgen"]

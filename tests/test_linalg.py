@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ultraconv.field import Field
+from ultraconv.field import Field, FieldElement
 from ultraconv.linalg import (
     FREE,
     INTEGRAL,
@@ -208,3 +208,42 @@ def test_linalg_property_suite(sel, trials):
     results = run_suite("linalg", Field.from_selector(sel), seed=414213, trials=trials)
     for r in results:
         assert r.ok, f"{r.name}: {r.failures}"
+
+
+# ---------------------------------------------------------------------------
+# the element API over payload storage
+
+def test_vectors_and_matrices_reject_elements_of_another_field():
+    f2, f3 = Field.padic(2), Field.padic(3)
+    with pytest.raises(ValueError, match="mixed fields"):
+        Vector(f2, [f3.from_int(3)])
+    with pytest.raises(ValueError, match="mixed fields"):
+        Matrix(f2, [[f3.from_int(6), f3.one]])
+    with pytest.raises(ValueError, match="mixed fields"):
+        Matrix.from_cols(f2, [_vec(f3, 1, 2)])
+    with pytest.raises(ValueError, match="mixed fields"):
+        _vec(f2, 1) + _vec(f3, 1)
+    # a field equal to but distinct from the vector's own is accepted
+    assert Vector(f2, [Field.padic(2).from_int(3)]) == _vec(f2, 3)
+
+
+def test_entries_read_as_field_elements():
+    f = Field.padic(3)
+    v = Vector(f, [f.parse("1/3"), f.zero, f.from_int(9)])
+    ob = orthogonalize([_vec(f, 1, 0, 0), _vec(f, 3, 3, 0)])
+    M = Matrix.from_cols(f, [v, _vec(f, 1, 2, 3)])
+    cs, rest = ob.reduce(v)
+    read = [v[0], *v.coords, *list(v), *cs, *rest, *(a for r in M.entries for a in r)]
+    assert all(isinstance(a, FieldElement) and a.field == f for a in read)
+    assert [a.render() for a in v] == v.render() == ["1/3", "0", "9"]
+    assert isinstance(v.coords, tuple) and isinstance(M.entries, tuple)
+
+
+def test_equal_vectors_hash_equal_however_built():
+    f = Field.ratfunc(0)
+    parsed = Vector(f, [f.parse("(1)/(t)"), f.parse("2*t + 1"), f.zero])
+    x = Vector(f, [f.parse("(1)/(t)"), f.one, f.parse("t")])
+    built = (x - Vector(f, [f.zero, f.zero, f.parse("t")])).scale(f.from_int(2)) \
+        + Vector(f, [f.parse("(-1)/(t)"), f.parse("2*t - 1"), f.zero])
+    assert built == parsed and hash(built) == hash(parsed)
+    assert len({parsed, built, -(-built)}) == 1
