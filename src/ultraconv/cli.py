@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Any, Dict, List, Optional
 
-from .field import Field, ParseError
+from .field import MAX_DIGITS, Field, ParseError
 from .linalg import DimensionError
 from .convex import (
     TooFewPointsError,
@@ -161,8 +161,17 @@ def _op_tverberg(field: Field, payload: Any, args) -> Dict[str, Any]:
 def _op_tvcount(field: Field, payload: Any, args) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     r = _int_arg(payload, "r", 1)
+    d = pts[0].dim if pts else 0
+    # the floor ((r-1)!)^d is printed whole, so it may have at most
+    # MAX_DIGITS digits.  lgamma(r) = ln((r-1)!) refuses far longer floors
+    # before any factorial is computed; capping r at MAX_DIGITS keeps it a
+    # float and still refuses every larger r when d >= 1
+    too_long = d * math.lgamma(min(r, MAX_DIGITS)) > (MAX_DIGITS + 1) * math.log(10)
+    bound = 0 if too_long or not pts else math.factorial(r - 1) ** d
+    if too_long or bound >= 10 ** MAX_DIGITS:
+        raise PayloadError(f"'r' is too large: the conjectured floor ((r-1)!)^{d} "
+                           f"would have more than MAX_DIGITS = {MAX_DIGITS} digits")
     count = count_tverberg_partitions(pts, r)
-    bound = math.factorial(r - 1) ** pts[0].dim if pts else 0
     return {"count": count, "conjecturedFloor": bound, "meetsFloor": count >= bound}
 
 

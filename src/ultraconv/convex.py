@@ -101,8 +101,7 @@ class MixedModule:
 
     def contains_line(self, v: Vector) -> bool:
         """Whether the whole line K*v lies inside the module."""
-        free_basis, _ = self.normal_form()
-        return free_basis._reduce(v)[1].is_zero
+        return self._free_basis._reduce(v)[1].is_zero
 
 
 class ConvexSet:

@@ -482,17 +482,7 @@ class _PadicOps:
         return (t // g2, s * (d2 // g2))
 
     def sub(self, a, b):
-        n1, d1 = a
-        n2, d2 = b
-        g = math.gcd(d1, d2)
-        if g == 1:
-            return (n1 * d2 - n2 * d1, d1 * d2)
-        s = d1 // g
-        t = n1 * (d2 // g) - n2 * s
-        g2 = math.gcd(t, g)
-        if g2 == 1:
-            return (t, s * d2)
-        return (t // g2, s * (d2 // g2))
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         n1, d1 = a

@@ -4,10 +4,11 @@ Vectors and matrices hold raw payloads, and every operation acts on them
 through the field's operation table (``field.ops``).  ``FieldElement``
 appears only at the API: public constructors take elements of the one
 field, and entries are wrapped as elements only when read.  Divisions are
-exact; each elimination keeps only the rows it answers from.  It provides:
+exact.  It provides:
 
-* ``LinearSolver``: the reduced row echelon form of a matrix, its kernel,
-  and particular solutions read off the reduced form of [A | b],
+* ``LinearSolver``: the reduced row echelon form of a matrix and its
+  kernel; ``solve`` reads a particular solution of A c = b and the kernel
+  of A off the one reduced form of [A | b],
 * ``independent_indices``: the one dependency-drop rule (drop the
   coefficient of least valuation in the first kernel vector), which keeps
   both the K-span and the O-span of a list of vectors,
@@ -17,7 +18,7 @@ exact; each elimination keeps only the rows it answers from.  It provides:
   weights gamma_i are ints, the valuations of the basis vectors,
 * ``ScaleSystem`` (``constrained_kernel`` / ``mixed_solve``): kernels and
   affine systems where a chosen subset of coordinates is constrained to
-  the valuation ring O.
+  the valuation ring O, with each part reduced when first asked for.
 """
 from __future__ import annotations
 
@@ -217,13 +218,9 @@ class Matrix:
 
 
 class LinearSolver:
-    """The reduced row echelon form of a matrix A, with its kernel and
-    particular solutions of A c = b.
-
-    ``reduced`` holds payload rows.  Only row operations on A itself are
-    kept; each right-hand side is appended to A as a last column and
-    reduced afresh.  The reduced form is unique, so answers do not depend
-    on how the reduction is ordered.
+    """The reduced row echelon form of a matrix A, as payload rows
+    (``reduced``), and its kernel.  The reduced form is unique, so answers
+    do not depend on how the reduction is ordered.
     """
 
     def __init__(self, A: Matrix):
@@ -265,24 +262,9 @@ class LinearSolver:
         self.free_cols = [c for c in range(n) if c not in pivot_cols]
 
     def solve(self, b: Vector) -> Optional[Vector]:
-        """A particular solution with free coordinates set to 0, or None.
-
-        Reduces [A | b]: b is outside the column space exactly when the
-        last column becomes a pivot; otherwise that column holds the
-        solution's pivot coordinates.
-        """
-        A = self.A
-        _same_field(self.field, b.field)
-        if b.dim != A.nrows:
-            raise DimensionError("right-hand side dimension mismatch")
-        n = A.ncols
-        aug = LinearSolver(_matrix(self.field, [r + (x,) for r, x in zip(A._rows, b._data)], n + 1))
-        if aug.pivots and aug.pivots[-1][1] == n:
-            return None
-        out = [self.field.zero.data] * n
-        for r, c in aug.pivots:
-            out[c] = aug.reduced[r][n]
-        return _vector(self.field, tuple(out))
+        """The particular solution of ``solve(A, b)``, or None."""
+        got = solve(self.A, b)
+        return None if got is None else got[0]
 
     def kernel(self) -> List[Vector]:
         """A basis of the kernel, one vector per free column, in column order."""
@@ -301,12 +283,22 @@ class LinearSolver:
 
 
 def solve(A: Matrix, b: Vector) -> Optional[Tuple[Vector, List[Vector]]]:
-    """Particular solution of A c = b plus a kernel basis, or None."""
-    s = LinearSolver(A)
-    part = s.solve(b)
-    if part is None:
+    """A particular solution of A c = b, with free coordinates 0, and a
+    kernel basis of A; None when b is outside the column space.
+
+    One reduction of [A | b] gives both: its first columns are the reduced
+    A, b is outside the column space when the last column is a pivot, and
+    otherwise that column's kernel vector is (-c, 1) for the solution c.
+    """
+    _same_field(A.field, b.field)
+    if b.dim != A.nrows:
+        raise DimensionError("right-hand side dimension mismatch")
+    n = A.ncols
+    aug = LinearSolver(_matrix(A.field, [r + (x,) for r, x in zip(A._rows, b._data)], n + 1))
+    if aug.free_cols[-1:] != [n]:
         return None
-    return part, s.kernel()
+    *ker, last = aug.kernel()
+    return (-last).project(range(n)), [k.project(range(n)) for k in ker]
 
 
 def coords(basis: Sequence[Vector], x: Vector, field: Optional[Field] = None) -> Optional[Vector]:
@@ -315,14 +307,10 @@ def coords(basis: Sequence[Vector], x: Vector, field: Optional[Field] = None) ->
         if not basis:
             raise ValueError("cannot infer field from an empty basis")
         field = basis[0].field
-    A = Matrix.from_cols(field, list(basis), nrows=x.dim)
-    got = solve(A, x)
-    if got is None:
-        return None
-    part, ker = got
-    if ker:
+    got = solve(Matrix.from_cols(field, list(basis), nrows=x.dim), x)
+    if got is not None and got[1]:
         raise ValueError("coords requires a linearly independent family")
-    return part
+    return None if got is None else got[0]
 
 
 class OrthoBasis:
@@ -464,11 +452,16 @@ class ScaleSystem:
     """Solver for G c = x with the coordinates of c marked ``INTEGRAL``
     constrained to the valuation ring (``FREE`` coordinates unconstrained).
 
-    The kernel of G splits into a fully free part (supported on FREE
-    coordinates only) and a complement; the complement is orthogonalized
-    once on the integral coordinates, after which each box query costs one
-    solve and one reduction.  The generators of the constrained kernel,
-    ``free_part`` and ``integral_part``, are built when first read.
+    Nothing is reduced before a question needs it.  A box query reduces
+    [G | x] once, which also gives the kernel of G.  ``free_part``, the
+    kernel supported on FREE coordinates (that of G stacked over the unit
+    rows of the INTEGRAL coordinates), is read off G with its INTEGRAL
+    columns zeroed: those become free columns with unit kernel vectors,
+    and the others reduce as in G's FREE columns alone.  Each kernel
+    vector of G is 1 at its own free column and 0 at the others, so those
+    that vanish at the free columns of ``free_part`` span a complement,
+    orthogonalized once on the INTEGRAL coordinates for ``integral_part``
+    and for each box solution.
     """
 
     def __init__(self, G: Matrix, scales: Sequence[str]):
@@ -477,39 +470,45 @@ class ScaleSystem:
         for s in scales:
             if s not in (FREE, INTEGRAL):
                 raise ValueError(f"unknown scale marker {s!r}")
-        field = self.field = G.field
-        self.solver = LinearSolver(G)
-        self._kernel = self.solver.kernel()
+        self.G, self.field = G, G.field
         self.int_indices = [i for i, s in enumerate(scales) if s == INTEGRAL]
-        P = Matrix.from_cols(field, [b.project(self.int_indices) for b in self._kernel],
-                             nrows=len(self.int_indices))
-        self._psolver = LinearSolver(P)
-        # pivot columns pick a complement of the projection's kernel, whose
-        # projections are independent
-        complement = [self._kernel[c] for _, c in self._psolver.pivots]
-        self._ortho = orthogonalize(complement, field=field, on=self.int_indices)
+
+    @cached_property
+    def _kernel(self) -> List[Vector]:
+        return LinearSolver(self.G).kernel()
+
+    @cached_property
+    def _free_kernel(self) -> List[Tuple[int, Vector]]:
+        ints, zero = set(self.int_indices), self.field.zero.data
+        rows = [tuple(zero if j in ints else a for j, a in enumerate(r)) for r in self.G._rows]
+        s = LinearSolver(_matrix(self.field, rows, self.G.ncols))
+        return [(f, k) for f, k in zip(s.free_cols, s.kernel()) if f not in ints]
 
     @cached_property
     def free_part(self) -> List[Vector]:
-        # kernel of the projection = combinations supported on FREE coordinates
-        K = Matrix.from_cols(self.field, self._kernel, nrows=self.solver.A.ncols)
-        return [K.mul_vec(beta) for beta in self._psolver.kernel()]
+        return [k for _, k in self._free_kernel]
+
+    @cached_property
+    def _ortho(self) -> OrthoBasis:
+        is_zero = self.field.ops.is_zero
+        complement = [k for k in self._kernel
+                      if all(is_zero(k._data[f]) for f, _ in self._free_kernel)]
+        return orthogonalize(complement, field=self.field, on=self.int_indices)
 
     @cached_property
     def integral_part(self) -> List[Vector]:
-        # integral points of the complement: rescale each basis vector to
-        # valuation 0 on the integral coordinates, by its weight
+        # each complement vector, rescaled by its weight to valuation 0 on INTEGRAL
         pow_ = self.field.ops.uniformizer_pow
         return [w._scale(pow_(-g)) for w, g in zip(self._ortho.vectors, self._ortho.gammas)]
 
     def solve_box(self, x: Vector) -> Optional[Vector]:
         """Some c with G c = x and integral coordinates in O, else None."""
-        c0 = self.solver.solve(x)
-        if c0 is None:
+        got = solve(self.G, x)
+        if got is None:
             return None
-        # the residual's integral coordinates have maximal valuation in the
-        # coset of the projected complement, so a box point exists exactly
-        # when they are integral
+        c0, self._kernel = got
+        # the residual's integral coordinates have maximal valuation in the coset
+        # of the projected complement: a box point exists iff they are integral
         _, out = self._ortho._reduce(c0)
         return out if out.project(self.int_indices).val() >= 0 else None
 

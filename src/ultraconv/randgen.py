@@ -12,7 +12,7 @@ shifted by a uniformizer power chosen uniformly in [-3, 3]:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .field import Field, FieldElement
 from .linalg import Vector
@@ -84,24 +84,20 @@ class Sampler:
 
     # modules and convex sets -----------------------------------------------
 
-    def module(self, d: int, max_free: int = 0, max_integral: Optional[int] = None) -> MixedModule:
-        if max_integral is None:
-            max_integral = d + 2
+    def module(self, d: int, max_free: int = 0) -> MixedModule:
         n_free = self.rng.randint(0, max_free) if max_free else 0
-        n_int = self.rng.randint(0 if n_free else 1, max_integral)
+        n_int = self.rng.randint(0 if n_free else 1, d + 2)
         free = [self.vector(d, nonzero=True) for _ in range(n_free)]
         integral = [self.vector(d, nonzero=True) for _ in range(n_int)]
         return MixedModule(self.field, d, free, integral)
 
-    def fg_module(self, d: int, max_gens: Optional[int] = None) -> MixedModule:
+    def fg_module(self, d: int) -> MixedModule:
         """A finitely generated module: integral generators only."""
-        if max_gens is None:
-            max_gens = d + 2
-        n = self.rng.randint(1, max_gens)
+        n = self.rng.randint(1, d + 2)
         return MixedModule(self.field, d, (), [self.vector(d, nonzero=True) for _ in range(n)])
 
-    def convex_set(self, d: int, allow_free: bool = True) -> ConvexSet:
-        module = self.module(d, max_free=1 if allow_free else 0)
+    def convex_set(self, d: int) -> ConvexSet:
+        module = self.module(d, max_free=1)
         return ConvexSet.of(self.vector(d), module)
 
     def module_point(self, module: MixedModule) -> Vector:

@@ -108,13 +108,12 @@ def _stated_dim(data: Any) -> Any:
     return len(translate) if isinstance(translate, list) else None
 
 
-def family_from_json(field: Field, data: Any, dim: Optional[int] = None) -> Family:
-    """A family whose dimension is ``dim`` or else the first one a member
-    states; empty members that state none take it."""
+def family_from_json(field: Field, data: Any) -> Family:
+    """A family whose dimension is the first one a member states; empty
+    members that state none take it."""
     if not isinstance(data, list):
         raise PayloadError("a family must be an array of convex sets")
-    if dim is None:
-        dim = next((d for d in map(_stated_dim, data) if d is not None), None)
+    dim = next((d for d in map(_stated_dim, data) if d is not None), None)
     if dim is None:
         raise PayloadError("cannot infer the ambient dimension of the family")
     return Family(field, dim, [convex_from_json(field, item, dim) for item in data])

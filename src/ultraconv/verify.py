@@ -523,7 +523,7 @@ def prop_largest_inner_ball(field: Field, seed: int, trials: int) -> PropertyRes
     res = PropertyResult("largest_inner_ball", trials)
     s = _sampler(field, seed, res.name)
     for t, d in _dims(trials, hi=3):
-        module = s.fg_module(d, max_gens=d + 2)
+        module = s.fg_module(d)
         _, basis = module.normal_form()
         if len(basis) != d:
             continue

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,21 @@ def test_shatter_caps_input_size(capsys):
     code, out = run(["shatter", "--json"], json.dumps({"points": pts}))
     assert code == EXIT_USAGE and out == ""
     assert "capped at 12 points" in capsys.readouterr().err
+
+
+def test_tvcount_floor_above_digit_limit_exits_2(capsys):
+    """A conjectured floor ((r-1)!)^d longer than MAX_DIGITS is refused
+    before it is computed; the longest floor that prints still does."""
+    from ultraconv.field import MAX_DIGITS
+    pts = [["0", "0"], ["1", "0"], ["0", "1"]]
+    for r in (861, 3000, 10**6, 10**400):
+        code, out = run(["tvcount", "--json"], json.dumps({"points": pts, "r": r}))
+        assert code == EXIT_USAGE and out == ""
+        err = capsys.readouterr().err
+        assert f"MAX_DIGITS = {MAX_DIGITS}" in err and "set_int_max_str_digits" not in err
+    code, report = run_json(["tvcount", "--json"], {"points": pts, "r": 860})
+    assert code == EXIT_OK
+    assert report == {"count": 0, "conjecturedFloor": math.factorial(859) ** 2, "meetsFloor": False}
 
 
 def test_empty_set_dimension_checked_before_answering():

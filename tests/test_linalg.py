@@ -18,6 +18,8 @@ from ultraconv.linalg import (
     solve,
 )
 
+from test_elimination_differential import FIELDS, OracleSolver, matrix, right_hand_sides
+
 
 def _vec(f, *ints):
     return Vector.from_ints(f, list(ints))
@@ -195,6 +197,50 @@ def test_mixed_solve_witness_respects_scales():
     for c, s in zip(w.coords, scales):
         if s == INTEGRAL and not c.is_zero:
             assert c.val() >= 0
+
+
+def test_mixed_solve_reduction_counts(monkeypatch):
+    """A box query reduces [G | x] once.  Only a target inside the column
+    space goes on to the reduction that gives the free part (G with its
+    INTEGRAL columns zeroed) and to the orthogonalization of the
+    complement."""
+    f = Field.padic(2)
+    G = Matrix.from_cols(f, [_vec(f, 1, 0), _vec(f, 2, 0), _vec(f, 3, 0)])
+    builds = []
+    init = LinearSolver.__init__
+
+    def counted(self, A):
+        builds.append(A.ncols)
+        init(self, A)
+
+    monkeypatch.setattr(LinearSolver, "__init__", counted)
+    scales = [INTEGRAL, FREE, INTEGRAL]
+    assert mixed_solve(G, scales, _vec(f, 1, 0)) == Vector(f, [f.zero, f.fraction(1, 2), f.zero])
+    assert builds == [4, 3, 2]
+    builds.clear()
+    assert mixed_solve(G, scales, _vec(f, 0, 1)) is None
+    assert builds == [4]
+
+
+@pytest.mark.parametrize("sel,trials", FIELDS)
+def test_solve_matches_transform_oracle(sel, trials):
+    """``solve`` reads the particular solution and the kernel off one
+    reduction of [A | b]; the oracle answers from A and its transform."""
+    f = Field.from_selector(sel)
+    rng = random.Random(f"solve-{sel}")
+    limit = 3 if sel == "ratfunc:0" else 5
+    seen = set()
+    for trial in range(trials):
+        m, n = rng.randint(0, limit), rng.randint(0, limit)
+        if trial < 2:
+            m, n = (0, n) if trial == 0 else (m, 0)
+        A = matrix(f, rng, m, n)
+        want = OracleSolver(A)
+        for b in right_hand_sides(f, rng, A):
+            got, part = solve(A, b), want.solve(b)
+            assert got == (None if part is None else (part, want.kernel())), (sel, trial)
+            seen.add("unsolvable" if got is None else "kernel" if got[1] else "no kernel")
+    assert seen == {"unsolvable", "kernel", "no kernel"}
 
 
 # ---------------------------------------------------------------------------
