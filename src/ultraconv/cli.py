@@ -14,10 +14,8 @@ import math
 import sys
 from typing import Any, Dict, List, Optional
 
-from .field import MAX_DIGITS, Field, ParseError
-from .linalg import DimensionError
+from .field import MAX_DIGITS, Field
 from .convex import (
-    TooFewPointsError,
     box_presentation,
     caratheodory_indices,
     conv_hull,
@@ -29,7 +27,6 @@ from .convex import (
 )
 from .combinatorics import (
     EmptyIntersectionError,
-    TooLargeError,
     breadth_reduce,
     coordinate_hyperplanes,
     count_tverberg_partitions,
@@ -99,40 +96,40 @@ def _int_arg(payload: Any, key: str, minimum: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# operation handlers: (field, payload, args) -> report dict
+# operation handlers: (field, payload) -> report dict
 
-def _op_hull(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_hull(field: Field, payload: Any) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     return convex_to_json(conv_hull(pts, field=field))
 
 
-def _op_member(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_member(field: Field, payload: Any) -> Dict[str, Any]:
     cset = convex_from_json(field, _need(payload, "set"))
     point = vector_from_json(field, _need(payload, "point"))
     return {"member": cset.contains(point)}
 
 
-def _op_intersect(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_intersect(field: Field, payload: Any) -> Dict[str, Any]:
     first = convex_from_json(field, _need(payload, "first"))
     second = convex_from_json(field, _need(payload, "second"), dim=first.dim)
     return convex_to_json(intersect(first, second))
 
 
-def _op_flag(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_flag(field: Field, payload: Any) -> Dict[str, Any]:
     cset = convex_from_json(field, _need(payload, "set"))
     if cset.is_empty:
         raise PayloadError("the empty set has no flag decomposition")
     return flag_to_json(cset.translate, flag_decompose(cset))
 
 
-def _op_box(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_box(field: Field, payload: Any) -> Dict[str, Any]:
     cset = convex_from_json(field, _need(payload, "set"))
     if cset.is_empty:
         raise PayloadError("the empty set has no box presentation")
     return box_to_json(box_presentation(cset))
 
 
-def _op_radon(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_radon(field: Field, payload: Any) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     cert = radon_point(pts)
     if not validate_radon(pts, cert):
@@ -140,7 +137,7 @@ def _op_radon(field: Field, payload: Any, args) -> Dict[str, Any]:
     return radon_to_json(cert)
 
 
-def _op_caratheodory(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_caratheodory(field: Field, payload: Any) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     idx = caratheodory_indices(pts)
     kept = [pts[i] for i in idx]
@@ -149,7 +146,7 @@ def _op_caratheodory(field: Field, payload: Any, args) -> Dict[str, Any]:
     return {"indices": idx, "points": [vector_to_json(p) for p in kept]}
 
 
-def _op_tverberg(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_tverberg(field: Field, payload: Any) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     r = _int_arg(payload, "r", 1)
     part = tverberg_partition(pts, r)
@@ -158,7 +155,7 @@ def _op_tverberg(field: Field, payload: Any, args) -> Dict[str, Any]:
     return tverberg_to_json(part)
 
 
-def _op_tvcount(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_tvcount(field: Field, payload: Any) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     r = _int_arg(payload, "r", 1)
     d = pts[0].dim if pts else 0
@@ -175,64 +172,65 @@ def _op_tvcount(field: Field, payload: Any, args) -> Dict[str, Any]:
     return {"count": count, "conjecturedFloor": bound, "meetsFloor": count >= bound}
 
 
-def _op_helly(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_helly(field: Field, payload: Any) -> Dict[str, Any]:
     fam = family_from_json(field, _need(payload, "family"))
     point = helly_point(fam)
     return {"point": None if point is None else vector_to_json(point)}
 
 
-def _op_breadth(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_breadth(field: Field, payload: Any) -> Dict[str, Any]:
     fam = family_from_json(field, _need(payload, "family"))
     return {"indices": breadth_reduce(fam)}
 
 
-def _op_shatter(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_shatter(field: Field, payload: Any) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     return shatter_to_json(is_shattered(pts))
 
 
-def _op_atoms(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_atoms(field: Field, payload: Any) -> Dict[str, Any]:
     fam = family_from_json(field, _need(payload, "family"))
     probes = points_from_json(field, _need(payload, "probes"))
     return {"atoms": dual_atoms(fam, probes)}
 
 
-def _op_selection(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_selection(field: Field, payload: Any) -> Dict[str, Any]:
     pts = points_from_json(field, _need(payload, "points"))
     point, count, total = selection_point(pts)
     return {"point": vector_to_json(point), "count": count, "total": total}
 
 
-def _op_frachelly(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_frachelly(field: Field, payload: Any) -> Dict[str, Any]:
     fam = family_from_json(field, _need(payload, "family"))
     k = _int_arg(payload, "k", 1)
     alpha, beta = fractional_helly_stats(fam, k)
     return {"alpha": str(alpha), "beta": str(beta)}
 
 
-def _op_pierce(field: Field, payload: Any, args) -> Dict[str, Any]:
+def _op_pierce(field: Field, payload: Any) -> Dict[str, Any]:
     fam = family_from_json(field, _need(payload, "family"))
     pts = pierce(fam)
     return {"points": [vector_to_json(p) for p in pts]}
 
 
+# name -> (handler, help text); build_parser adds one subcommand per entry
 PAYLOAD_OPS = {
-    "hull": _op_hull,
-    "member": _op_member,
-    "intersect": _op_intersect,
-    "flag": _op_flag,
-    "box": _op_box,
-    "radon": _op_radon,
-    "caratheodory": _op_caratheodory,
-    "tverberg": _op_tverberg,
-    "tvcount": _op_tvcount,
-    "helly": _op_helly,
-    "breadth": _op_breadth,
-    "shatter": _op_shatter,
-    "atoms": _op_atoms,
-    "selection": _op_selection,
-    "frachelly": _op_frachelly,
-    "pierce": _op_pierce,
+    "hull": (_op_hull, 'hull of a point list; stdin {"points": [[...], ...]}'),
+    "member": (_op_member, 'point membership; stdin {"set": {...}, "point": [...]}'),
+    "intersect": (_op_intersect, 'intersection; stdin {"first": {...}, "second": {...}}'),
+    "flag": (_op_flag, 'flag decomposition; stdin {"set": {...}}'),
+    "box": (_op_box, 'box presentation; stdin {"set": {...}}'),
+    "radon": (_op_radon, 'partition certificate for d+2 points; stdin {"points": [...]}'),
+    "caratheodory": (_op_caratheodory, 'reduce to at most d+1 points; stdin {"points": [...]}'),
+    "tverberg": (_op_tverberg, 'nested-hull partition; stdin {"points": [...], "r": N}'),
+    "tvcount": (_op_tvcount, 'count partitions with a common point; stdin {"points": [...], "r": N}'),
+    "helly": (_op_helly, 'common point of a family; stdin {"family": [...]}'),
+    "breadth": (_op_breadth, 'small subfamily with the same intersection; stdin {"family": [...]}'),
+    "shatter": (_op_shatter, 'shattering test; stdin {"points": [...]}'),
+    "atoms": (_op_atoms, 'distinct membership patterns; stdin {"family": [...], "probes": [...]}'),
+    "selection": (_op_selection, 'most-covered input point; stdin {"points": [...]}'),
+    "frachelly": (_op_frachelly, 'intersection statistics; stdin {"family": [...], "k": N}'),
+    "pierce": (_op_pierce, 'greedy piercing points; stdin {"family": [...]}'),
 }
 
 
@@ -302,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="padic:2", metavar="SELECTOR",
                         help="field selector, padic:<p> or ratfunc:<char> (default padic:2)")
-    common.add_argument("--seed", type=int, default=0, metavar="U64",
-                        help="64-bit seed for randomized operations (default 0)")
-    common.add_argument("--trials", type=_positive_int, default=100, metavar="N",
-                        help="trial count for randomized operations (default 100)")
     common.add_argument("--json", action="store_true",
                         help="compact single-line JSON instead of indented")
 
@@ -315,25 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    stdin_help = {
-        "hull": 'hull of a point list; stdin {"points": [[...], ...]}',
-        "member": 'point membership; stdin {"set": {...}, "point": [...]}',
-        "intersect": 'intersection; stdin {"first": {...}, "second": {...}}',
-        "flag": 'flag decomposition; stdin {"set": {...}}',
-        "box": 'box presentation; stdin {"set": {...}}',
-        "radon": 'partition certificate for d+2 points; stdin {"points": [...]}',
-        "caratheodory": 'reduce to at most d+1 points; stdin {"points": [...]}',
-        "tverberg": 'nested-hull partition; stdin {"points": [...], "r": N}',
-        "tvcount": 'count partitions with a common point; stdin {"points": [...], "r": N}',
-        "helly": 'common point of a family; stdin {"family": [...]}',
-        "breadth": 'small subfamily with the same intersection; stdin {"family": [...]}',
-        "shatter": 'shattering test; stdin {"points": [...]}',
-        "atoms": 'distinct membership patterns; stdin {"family": [...], "probes": [...]}',
-        "selection": 'most-covered input point; stdin {"points": [...]}',
-        "frachelly": 'intersection statistics; stdin {"family": [...], "k": N}',
-        "pierce": 'greedy piercing points; stdin {"family": [...]}',
-    }
-    for name, help_text in stdin_help.items():
+    for name, (_, help_text) in PAYLOAD_OPS.items():
         sub.add_parser(name, parents=[common], help=help_text)
 
     w = sub.add_parser("witness", parents=[common],
@@ -348,6 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the seeded property suites (no stdin)")
     v.add_argument("--suite", default="all",
                    choices=["all", "field", "linalg", "convex", "combinatorics"])
+    v.add_argument("--seed", type=int, default=0, metavar="U64",
+                   help="64-bit seed for the property samplers (default 0)")
+    v.add_argument("--trials", type=_positive_int, default=100, metavar="N",
+                   help="trial count per property (default 100)")
     return parser
 
 
@@ -370,7 +350,7 @@ def main(argv: Optional[List[str]] = None, stdin=None, stdout=None) -> int:
 
     try:
         field = Field.from_selector(args.field)
-    except (ValueError, ParseError) as exc:
+    except ValueError as exc:
         print(f"ultraconv: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -381,11 +361,8 @@ def main(argv: Optional[List[str]] = None, stdin=None, stdout=None) -> int:
             report = _run_verify(field, args)
         else:
             payload = _read_payload(stdin)
-            report = PAYLOAD_OPS[args.command](field, payload, args)
-    except (PayloadError, ParseError, DimensionError, TooFewPointsError,
-            TooLargeError) as exc:
-        print(f"ultraconv: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            report = PAYLOAD_OPS[args.command][0](field, payload)
+    # EmptyIntersectionError is a ValueError, so this clause comes first
     except (ViolationError, EmptyIntersectionError) as exc:
         print(f"ultraconv: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -409,7 +409,8 @@ def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
 
 def _maximal_intersecting_subfamilies(fam: Family) -> List[Tuple[Tuple[int, ...], Vector]]:
     """All inclusion-maximal index sets with nonempty intersection, each
-    with one point of that intersection."""
+    with one point of that intersection.  The point lies in no other member:
+    maximality means every other member misses the intersection."""
     n = len(fam)
     out: List[Tuple[Tuple[int, ...], Vector]] = []
 
@@ -444,10 +445,7 @@ def pierce(fam: Family) -> List[Vector]:
         return []
     if any(m.is_empty for m in fam.members):
         raise ValueError("family contains an empty member; it cannot be pierced")
-    candidates = _maximal_intersecting_subfamilies(fam)
-    coverage = []
-    for _, pt in candidates:
-        coverage.append((pt, frozenset(i for i in range(n) if fam.members[i].contains(pt))))
+    coverage = [(pt, frozenset(chosen)) for chosen, pt in _maximal_intersecting_subfamilies(fam)]
     chosen: List[Vector] = []
     uncovered = set(range(n))
     while uncovered:

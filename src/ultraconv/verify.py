@@ -1,9 +1,11 @@
 """Seeded randomized verification suites.
 
-Each property draws its instances from a :class:`~ultraconv.randgen.Sampler`
-whose seed is derived deterministically from the run seed and the property
-name, so a report is reproducible byte for byte.  Properties return a
-result object; they never raise on a counterexample, they record it.
+A property is a ``prop_<name>(res, s, field, trials)`` function listed in
+``SUITES``.  :func:`run_suite` builds its :class:`PropertyResult`, named
+``<name>``, and its :class:`~ultraconv.randgen.Sampler` ``s``, whose seed is
+derived deterministically from the run seed and the property name, so a
+report is reproducible byte for byte.  Properties never raise on a
+counterexample; they record it in ``res``.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .linalg import (
     constrained_kernel,
     mixed_solve,
     orthogonalize,
+    solve,
 )
 from .convex import (
     FULL,
@@ -80,11 +83,6 @@ class PropertyResult:
             self.failures.append("... more failures suppressed")
 
 
-def _sampler(field: Field, seed: int, name: str) -> Sampler:
-    derived = (seed * 1000003 + zlib.crc32(name.encode())) & _MASK64
-    return Sampler(field, derived)
-
-
 def _dims(trials: int, lo: int = 1, hi: int = 4):
     for t in range(trials):
         yield t, lo + t % (hi - lo + 1)
@@ -93,19 +91,14 @@ def _dims(trials: int, lo: int = 1, hi: int = 4):
 # ---------------------------------------------------------------------------
 # field properties
 
-def prop_val_multiplicative(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("val_multiplicative", trials)
-    s = _sampler(field, seed, res.name)
+def prop_val_multiplicative(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t in range(trials):
         x, y = s.element(), s.element()
         if (x * y).val() != x.val() + y.val():
             res.record(f"trial {t}: val({x}*{y})")
-    return res
 
 
-def prop_val_ultrametric(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("val_ultrametric", trials)
-    s = _sampler(field, seed, res.name)
+def prop_val_ultrametric(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t in range(trials):
         x, y = s.element(), s.element()
         vx, vy, vs = x.val(), y.val(), (x + y).val()
@@ -113,12 +106,9 @@ def prop_val_ultrametric(field: Field, seed: int, trials: int) -> PropertyResult
             res.record(f"trial {t}: subadditivity fails for {x}, {y}")
         if vx != vy and vs != min(vx, vy):
             res.record(f"trial {t}: strict case fails for {x}, {y}")
-    return res
 
 
-def prop_canonical_idempotent(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("canonical_idempotent", trials)
-    s = _sampler(field, seed, res.name)
+def prop_canonical_idempotent(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t in range(trials):
         x = s.element()
         if field.kind == "padic":
@@ -129,46 +119,36 @@ def prop_canonical_idempotent(field: Field, seed: int, trials: int) -> PropertyR
             again = (x * shared) / shared
         if again != x or field.parse(x.render()) != x:
             res.record(f"trial {t}: canonical form unstable for {x}")
-    return res
 
 
-def prop_parse_render_roundtrip(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("parse_render_roundtrip", trials)
-    s = _sampler(field, seed, res.name)
+def prop_parse_render_roundtrip(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t in range(trials):
         x = s.element()
         back = field.parse(x.render())
         if back != x:
             res.record(f"trial {t}: {x.render()!r} reparses as {back.render()!r}")
-    return res
 
 
 # ---------------------------------------------------------------------------
 # linalg properties
 
-def prop_solve_exactness(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("solve_exactness", trials)
-    s = _sampler(field, seed, res.name)
+def prop_solve_exactness(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials):
         n = s.rng.randint(1, d + 2)
         A = Matrix(field, [[s.element() for _ in range(n)] for _ in range(d)])
         c = Vector(field, [s.element() for _ in range(n)])
         b = A.mul_vec(c)
-        solver = LinearSolver(A)
-        part = solver.solve(b)
-        if part is None or A.mul_vec(part) != b:
+        got = solve(A, b)
+        if got is None or A.mul_vec(got[0]) != b:
             res.record(f"trial {t}: particular solution wrong")
             continue
-        for k in solver.kernel():
+        for k in got[1]:
             if not A.mul_vec(k).is_zero:
                 res.record(f"trial {t}: kernel vector not in kernel")
-    return res
 
 
-def prop_ortho_valuation_identity(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_ortho_valuation_identity(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """val of a combination equals min over val(c_i) + gamma_i."""
-    res = PropertyResult("ortho_valuation_identity", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         module = s.fg_module(d)
         basis = orthogonalize(list(module.integral_gens), field=field)
@@ -187,12 +167,9 @@ def prop_ortho_valuation_identity(field: Field, seed: int, trials: int) -> Prope
             if acc.val() != expect:
                 res.record(f"trial {t}: valuation identity fails")
                 break
-    return res
 
 
-def prop_ortho_gammas_sorted(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("ortho_gammas_sorted", trials)
-    s = _sampler(field, seed, res.name)
+def prop_ortho_gammas_sorted(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials):
         module = s.fg_module(d)
         basis = orthogonalize(list(module.integral_gens), field=field)
@@ -200,13 +177,10 @@ def prop_ortho_gammas_sorted(field: Field, seed: int, trials: int) -> PropertyRe
             res.record(f"trial {t}: gammas not nondecreasing: {basis.gammas}")
         if len(set(basis.pivot_indices)) != len(basis.pivot_indices):
             res.record(f"trial {t}: pivot indices repeat")
-    return res
 
 
-def prop_ortho_span_preserved(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_ortho_span_preserved(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Inputs and orthogonalized outputs generate the same O-span."""
-    res = PropertyResult("ortho_span_preserved", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         gens = [s.vector(d, nonzero=True) for _ in range(s.rng.randint(1, d + 2))]
         basis = orthogonalize(gens, field=field)
@@ -222,13 +196,10 @@ def prop_ortho_span_preserved(field: Field, seed: int, trials: int) -> PropertyR
             if mixed_solve(Gin, sin, u) is None:
                 res.record(f"trial {t}: output vector escapes the input span")
                 break
-    return res
 
 
-def prop_gamma_multiset_invariance(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_gamma_multiset_invariance(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Weights depend only on the module, not its presentation."""
-    res = PropertyResult("gamma_multiset_invariance", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         gens = [s.vector(d, nonzero=True) for _ in range(s.rng.randint(1, d + 2))]
         base = orthogonalize(gens, field=field).gamma_multiset()
@@ -247,18 +218,15 @@ def prop_gamma_multiset_invariance(field: Field, seed: int, trials: int) -> Prop
             regens.append(acc)
         if orthogonalize(regens, field=field).gamma_multiset() != base:
             res.record(f"trial {t}: ring-invertible re-presentation changes the weights")
-    return res
 
 
 def _random_scales(s: Sampler, n: int) -> List[str]:
     return [INTEGRAL if s.rng.random() < 0.7 else FREE for _ in range(n)]
 
 
-def prop_constrained_kernel_sound(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_constrained_kernel_sound(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Everything generated by a constrained kernel solves G c = 0 and
     respects the scale box."""
-    res = PropertyResult("constrained_kernel_sound", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         n = s.rng.randint(1, d + 2)
         G = Matrix(field, [[s.element() for _ in range(n)] for _ in range(d)])
@@ -280,13 +248,10 @@ def prop_constrained_kernel_sound(field: Field, seed: int, trials: int) -> Prope
             if bad:
                 res.record(f"trial {t}: combination violates an integral scale")
                 break
-    return res
 
 
-def prop_constrained_kernel_complete(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_constrained_kernel_complete(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Scale-respecting kernel points are reproduced by the generators."""
-    res = PropertyResult("constrained_kernel_complete", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         n = s.rng.randint(1, d + 2)
         G = Matrix(field, [[s.element() for _ in range(n)] for _ in range(d)])
@@ -309,12 +274,9 @@ def prop_constrained_kernel_complete(field: Field, seed: int, trials: int) -> Pr
             if Gout is None or mixed_solve(Gout, outscales, z) is None:
                 res.record(f"trial {t}: scale-respecting kernel point missed")
                 break
-    return res
 
 
-def prop_mixed_solve_correct(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("mixed_solve_correct", trials)
-    s = _sampler(field, seed, res.name)
+def prop_mixed_solve_correct(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials):
         n = s.rng.randint(1, d + 2)
         G = Matrix(field, [[s.element() for _ in range(n)] for _ in range(d)])
@@ -332,16 +294,13 @@ def prop_mixed_solve_correct(field: Field, seed: int, trials: int) -> PropertyRe
             res.record(f"trial {t}: witness does not solve the system")
         if any(sc == INTEGRAL and not got[i].is_integral for i, sc in enumerate(scales)):
             res.record(f"trial {t}: witness violates a scale")
-    return res
 
 
 # ---------------------------------------------------------------------------
 # convex properties
 
-def prop_hull_soundness(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_hull_soundness(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Integral 3-term combinations with coefficient sum 1 stay in the hull."""
-    res = PropertyResult("hull_soundness", trials)
-    s = _sampler(field, seed, res.name)
     per_trial = max(1, 150 // max(trials, 1))
     for t, d in _dims(trials):
         pts = s.points(s.rng.randint(1, d + 3), d)
@@ -351,13 +310,10 @@ def prop_hull_soundness(field: Field, seed: int, trials: int) -> PropertyResult:
             if not hull.contains(x):
                 res.record(f"trial {t}: hull misses a convex combination")
                 break
-    return res
 
 
-def prop_hull_minimality(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_hull_minimality(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """The hull is contained in every quasi-ball containing the points."""
-    res = PropertyResult("hull_minimality", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         pts = s.points(s.rng.randint(1, d + 3), d)
         hull = conv_hull(pts)
@@ -370,23 +326,17 @@ def prop_hull_minimality(field: Field, seed: int, trials: int) -> PropertyResult
         ball = quasi_ball(center, FULL if radius == INFINITY else radius)
         if not subset(hull, ball):
             res.record(f"trial {t}: hull escapes an enclosing ball")
-    return res
 
 
-def prop_radon_validates(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("radon_validates", trials)
-    s = _sampler(field, seed, res.name)
+def prop_radon_validates(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials):
         pts = s.points(d + 2, d)
         cert = radon_point(pts)
         if not validate_radon(pts, cert):
             res.record(f"trial {t}: certificate fails validation")
-    return res
 
 
-def prop_caratheodory_equality(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("caratheodory_equality", trials)
-    s = _sampler(field, seed, res.name)
+def prop_caratheodory_equality(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials):
         pts = s.points(s.rng.randint(d + 2, 12), d)
         sub = caratheodory_reduce(pts)
@@ -395,14 +345,11 @@ def prop_caratheodory_equality(field: Field, seed: int, trials: int) -> Property
             continue
         if not equals(conv_hull(sub), conv_hull(pts)):
             res.record(f"trial {t}: reduced hull differs")
-    return res
 
 
-def prop_flag_membership_agreement(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_flag_membership_agreement(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Normal-form membership agrees with flag-coordinate membership and
     with a scale-constrained solve over the module's generators."""
-    res = PropertyResult("flag_membership_agreement", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         c = s.convex_set(d)
         flag = flag_decompose(c)
@@ -423,13 +370,10 @@ def prop_flag_membership_agreement(field: Field, seed: int, trials: int) -> Prop
             if not (via_nf == via_flag == via_scale):
                 res.record(f"trial {t}: membership disagreement at {x!r}")
                 break
-    return res
 
 
-def prop_intersect_oracle(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_intersect_oracle(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Point sampling agrees with the computed intersection both ways."""
-    res = PropertyResult("intersect_oracle", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         c1, c2 = s.convex_set(d), s.convex_set(d)
         both = intersect(c1, c2)
@@ -451,13 +395,10 @@ def prop_intersect_oracle(field: Field, seed: int, trials: int) -> PropertyResul
             if joint != both.contains(x):
                 res.record(f"trial {t}: sampling contradicts the intersection")
                 break
-    return res
 
 
-def prop_intersect_algebra(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_intersect_algebra(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Commutativity and idempotence up to set equality."""
-    res = PropertyResult("intersect_algebra", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials, hi=3):
         c1, c2 = s.convex_set(d), s.convex_set(d)
         ab, ba = intersect(c1, c2), intersect(c2, c1)
@@ -465,13 +406,10 @@ def prop_intersect_algebra(field: Field, seed: int, trials: int) -> PropertyResu
             res.record(f"trial {t}: intersection is not commutative")
         if not equals(intersect(c1, c1), c1):
             res.record(f"trial {t}: intersection is not idempotent")
-    return res
 
 
-def prop_translate_dichotomy(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_translate_dichotomy(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """A translate of a convex set either equals it or misses it entirely."""
-    res = PropertyResult("translate_dichotomy", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         c = s.convex_set(d)
         a = s.vector(d)
@@ -481,14 +419,11 @@ def prop_translate_dichotomy(field: Field, seed: int, trials: int) -> PropertyRe
             res.record(f"trial {t}: equality disagrees with module membership")
         if not same and not intersect(c, shifted).is_empty:
             res.record(f"trial {t}: translate neither equal nor disjoint")
-    return res
 
 
-def prop_min_gamma_is_min_valuation(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_min_gamma_is_min_valuation(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Without full lines the least weight is the least valuation attained;
     with a full line valuations are unbounded below."""
-    res = PropertyResult("min_gamma_is_min_valuation", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         module = s.fg_module(d)
         _, basis = module.normal_form()
@@ -514,14 +449,11 @@ def prop_min_gamma_is_min_valuation(field: Field, seed: int, trials: int) -> Pro
             if not (deep.val() <= -bound and bigger.member(deep)):
                 res.record(f"trial {t}: full line fails to go below -{bound}")
                 break
-    return res
 
 
-def prop_largest_inner_ball(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_largest_inner_ball(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """For a full-rank integral module the largest quasi-ball inside it has
     radius equal to the last weight."""
-    res = PropertyResult("largest_inner_ball", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials, hi=3):
         module = s.fg_module(d)
         _, basis = module.normal_form()
@@ -533,7 +465,6 @@ def prop_largest_inner_ball(field: Field, seed: int, trials: int) -> PropertyRes
             res.record(f"trial {t}: ball of radius {last} escapes")
         if subset(quasi_ball(Vector.zero(field, d), last - 1), c):
             res.record(f"trial {t}: ball of radius {last - 1} unexpectedly fits")
-    return res
 
 
 def two_term_counterexample() -> Tuple[List[Vector], List[FieldElement], Vector]:
@@ -573,19 +504,16 @@ def check_two_term_counterexample() -> bool:
     return not in_set(combo)
 
 
-def prop_two_term_counterexample(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("two_term_counterexample", 1)
+def prop_two_term_counterexample(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
+    res.trials = 1
     if not check_two_term_counterexample():
         res.record("the fixed three-point counterexample does not behave as expected")
-    return res
 
 
 # ---------------------------------------------------------------------------
 # combinatorics properties
 
-def prop_helly_positive(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("helly_positive", trials)
-    s = _sampler(field, seed, res.name)
+def prop_helly_positive(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials, hi=3):
         fam, hidden = s.common_point_family(s.rng.randint(1, 6), d)
         got = helly_point(fam)
@@ -596,13 +524,12 @@ def prop_helly_positive(field: Field, seed: int, trials: int) -> PropertyResult:
             res.record(f"trial {t}: reported point is not common")
         if not all(m.contains(hidden) for m in fam.members):
             res.record(f"trial {t}: designed point is not common (generator bug)")
-    return res
 
 
-def prop_helly_sharpness(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_helly_sharpness(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """The simplex-facet family: total intersection empty, every proper
     subfamily of size d nonempty."""
-    res = PropertyResult("helly_sharpness", 3)
+    res.trials = 3
     for d in (1, 2, 3):
         fam = helly_lower_bound_witness(field, d)
         if helly_point(fam) is not None:
@@ -610,12 +537,9 @@ def prop_helly_sharpness(field: Field, seed: int, trials: int) -> PropertyResult
         for combo in itertools.combinations(range(d + 1), d):
             if fam.intersection(combo).is_empty:
                 res.record(f"d={d}: subfamily {combo} should intersect")
-    return res
 
 
-def prop_breadth_bound(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("breadth_bound", trials)
-    s = _sampler(field, seed, res.name)
+def prop_breadth_bound(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials, hi=3):
         fam, _ = s.common_point_family(s.rng.randint(1, d + 2), d)
         total = fam.intersection()
@@ -628,23 +552,19 @@ def prop_breadth_bound(field: Field, seed: int, trials: int) -> PropertyResult:
     for d in (1, 2, 3):
         if len(breadth_reduce(coordinate_hyperplanes(field, d))) != d:
             res.record(f"coordinate hyperplanes in dim {d} need exactly {d} members")
-    return res
 
 
-def prop_shatter_simplex(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("shatter_simplex", 4)
+def prop_shatter_simplex(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
+    res.trials = 4
     for d in (1, 2, 3, 4):
         pts = [Vector.zero(field, d)] + [Vector.unit(field, d, i) for i in range(d)]
         if not is_shattered(pts).shattered:
             res.record(f"standard d+1 points in dim {d} should shatter")
-    return res
 
 
-def prop_no_shatter_oversized(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_no_shatter_oversized(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """d+2 points never shatter, and a Radon certificate exhibits the
     violated subset."""
-    res = PropertyResult("no_shatter_oversized", trials)
-    s = _sampler(field, seed, res.name)
     for t, d in _dims(trials):
         pts = s.points(d + 2, d)
         report = is_shattered(pts)
@@ -655,12 +575,9 @@ def prop_no_shatter_oversized(field: Field, seed: int, trials: int) -> PropertyR
         others = [p for j, p in enumerate(pts) if j != cert.index]
         if not conv_hull(others).contains(pts[cert.index]):
             res.record(f"trial {t}: certificate does not yield a violation")
-    return res
 
 
-def prop_tverberg_valid(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("tverberg_valid", trials)
-    s = _sampler(field, seed, res.name)
+def prop_tverberg_valid(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     combos = [(d, r) for d in (1, 2, 3) for r in (2, 3)]
     for t in range(trials):
         d, r = combos[t % len(combos)]
@@ -668,14 +585,11 @@ def prop_tverberg_valid(field: Field, seed: int, trials: int) -> PropertyResult:
         part = tverberg_partition(pts, r)
         if not validate_tverberg(pts, part, r):
             res.record(f"trial {t}: partition fails validation (d={d}, r={r})")
-    return res
 
 
-def prop_dual_atoms_grid(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_dual_atoms_grid(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Coordinate hyperplanes with the 0/1 probe grid realize all 2^d
     membership patterns; nested members never produce inverted patterns."""
-    res = PropertyResult("dual_atoms_grid", trials)
-    s = _sampler(field, seed, res.name)
     for d in (1, 2, 3, 4):
         fam = coordinate_hyperplanes(field, d)
         probes = [Vector.from_ints(field, bits) for bits in itertools.product((0, 1), repeat=d)]
@@ -695,19 +609,18 @@ def prop_dual_atoms_grid(field: Field, seed: int, trials: int) -> PropertyResult
             if fam.members[0].contains(q) and not fam.members[1].contains(q):
                 res.record(f"trial {t}: nested pair realizes an inverted pattern")
                 break
-    return res
 
 
-def prop_hyperplane_family_design(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_hyperplane_family_design(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """In the plane: all pairs of designed lines meet, all triples are
     empty, and the statistics match."""
-    res = PropertyResult("hyperplane_family_design", 1)
+    res.trials = 1
     n = 6
     if field.kind == "ratfunc" and field.param != 0:
         n = min(n, field.param - 1)
     if n < 3:
         res.notes.append(f"characteristic too small for a 3-line check (n={n})")
-        return res
+        return
     fam = hyperplane_family(field, 2, n)
     for i, j in itertools.combinations(range(n), 2):
         if fam.intersection((i, j)).is_empty:
@@ -722,12 +635,9 @@ def prop_hyperplane_family_design(field: Field, seed: int, trials: int) -> Prope
         res.record(f"beta should be {Fraction(2, n)}, got {beta}")
     if alpha == 1 and not beta > 0:
         res.record("alpha = 1 must force a positive beta")
-    return res
 
 
-def prop_selection_counts(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("selection_counts", trials)
-    s = _sampler(field, seed, res.name)
+def prop_selection_counts(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     pts = [
         Vector.from_ints(field, [0, 0]),
         Vector.from_ints(field, [1, 0]),
@@ -742,12 +652,9 @@ def prop_selection_counts(field: Field, seed: int, trials: int) -> PropertyResul
         _, count, total = selection_point(sample)
         if count < 1:
             res.record(f"trial {t}: best point covered by no subset hull")
-    return res
 
 
-def prop_pierce_covers(field: Field, seed: int, trials: int) -> PropertyResult:
-    res = PropertyResult("pierce_covers", trials)
-    s = _sampler(field, seed, res.name)
+def prop_pierce_covers(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     z = Vector.zero(field, 1)
     nested = Family(field, 1, [quasi_ball(z, 2), quasi_ball(z, 1), quasi_ball(z, 0)])
     if len(pierce(nested)) != 1:
@@ -761,14 +668,11 @@ def prop_pierce_covers(field: Field, seed: int, trials: int) -> PropertyResult:
             if not any(m.contains(p) for p in pts):
                 res.record(f"trial {t}: a member is left unpierced")
                 break
-    return res
 
 
-def prop_tverberg_count_conjecture(field: Field, seed: int, trials: int) -> PropertyResult:
+def prop_tverberg_count_conjecture(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Experimental count check; shortfalls are reported as notes, never as
     failures."""
-    res = PropertyResult("tverberg_count_conjecture", trials)
-    s = _sampler(field, seed, res.name)
     combos = [(d, r) for d in (1, 2) for r in (2, 3)]
     for t in range(trials):
         d, r = combos[t % len(combos)]
@@ -779,13 +683,12 @@ def prop_tverberg_count_conjecture(field: Field, seed: int, trials: int) -> Prop
             res.notes.append(
                 f"trial {t}: d={d}, r={r}: {got} partitions, conjectured floor {bound}"
             )
-    return res
 
 
 # ---------------------------------------------------------------------------
 # suite registry
 
-SUITES: Dict[str, List[Callable[[Field, int, int], PropertyResult]]] = {
+SUITES: Dict[str, List[Callable[[PropertyResult, Sampler, Field, int], None]]] = {
     "field": [
         prop_val_multiplicative,
         prop_val_ultrametric,
@@ -840,4 +743,10 @@ def run_suite(name: str, field: Field, seed: int, trials: int) -> List[PropertyR
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")
-    return [prop(field, seed, trials) for prop in SUITES[name]]
+    results = []
+    for prop in SUITES[name]:
+        res = PropertyResult(prop.__name__[len("prop_"):], trials)
+        derived = (seed * 1000003 + zlib.crc32(res.name.encode())) & _MASK64
+        prop(res, Sampler(field, derived), field, trials)
+        results.append(res)
+    return results

@@ -130,6 +130,30 @@ def test_verify_reports_per_property_lines():
     assert all(r["ok"] for r in report["results"])
 
 
+SUITE_ORDER = [
+    "val_multiplicative", "val_ultrametric", "canonical_idempotent", "parse_render_roundtrip",
+    "solve_exactness", "ortho_valuation_identity", "ortho_gammas_sorted", "ortho_span_preserved",
+    "gamma_multiset_invariance", "constrained_kernel_sound", "constrained_kernel_complete",
+    "mixed_solve_correct", "hull_soundness", "hull_minimality", "radon_validates",
+    "caratheodory_equality", "flag_membership_agreement", "intersect_oracle",
+    "intersect_algebra", "translate_dichotomy", "min_gamma_is_min_valuation",
+    "largest_inner_ball", "two_term_counterexample", "helly_positive", "helly_sharpness",
+    "breadth_bound", "shatter_simplex", "no_shatter_oversized", "tverberg_valid",
+    "dual_atoms_grid", "hyperplane_family_design", "selection_counts", "pierce_covers",
+    "tverberg_count_conjecture",
+]
+
+
+def test_run_suite_names_and_counts_every_property():
+    from ultraconv.field import Field
+    from ultraconv.verify import run_suite
+    results = run_suite("all", Field.padic(2), 0, 1)
+    assert [r.name for r in results] == SUITE_ORDER
+    fixed = {"helly_sharpness": 3, "shatter_simplex": 4}
+    assert [r.trials for r in results] == [fixed.get(r.name, 1) for r in results]
+    assert all(r.ok for r in results)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -203,6 +227,17 @@ def test_non_positive_counts_exit_2():
                  ["witness", "frachelly", "--count", "0"]):
         code, out = run(argv)
         assert code == EXIT_USAGE and out == "", argv
+
+
+def test_seed_and_trials_belong_to_verify_only(capsys):
+    hull = '{"points": [["0"], ["1"]]}'
+    for argv, stdin in ((["hull", "--seed", "3", "--json"], hull),
+                        (["hull", "--trials", "5"], hull),
+                        (["witness", "helly", "--seed", "3"], "")):
+        code, out = run(argv, stdin)
+        assert code == EXIT_USAGE and out == "", argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["hull", "--json"], hull)[0] == EXIT_OK
 
 
 def test_violation_exit_1_on_empty_breadth():

@@ -1,8 +1,9 @@
 """Differential checks of the exhaustive searches against the plain
 enumerations they replaced: Tverberg partition counts against the
 restricted-growth enumerator with its intersection fold, ``meets`` against
-the folded ``intersect``, alpha against the per-combination fold, and
-``breadth_reduce`` against the per-combination ``equals`` scan."""
+the folded ``intersect``, alpha against the per-combination fold,
+``breadth_reduce`` against the per-combination ``equals`` scan, and the
+piercing candidates' coverage against a membership scan."""
 
 import itertools
 import random
@@ -25,6 +26,7 @@ from ultraconv.combinatorics import (
     Family,
     breadth_reduce,
     count_tverberg_partitions,
+    _maximal_intersecting_subfamilies,
     fractional_helly_stats,
     hyperplane_family,
 )
@@ -245,3 +247,26 @@ def test_breadth_reduce_matches_equals_scan(sel, d):
         rng.shuffle(members)
         fam = Family(f, d, members)
         assert breadth_reduce(fam) == oracle_breadth(fam)
+
+
+# ---------------------------------------------------------------------------
+# piercing candidates
+
+def oracle_coverage(fam, point):
+    return tuple(i for i, m in enumerate(fam.members) if m.contains(point))
+
+
+@pytest.mark.parametrize("sel", FIELDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_pierce_candidates_lie_in_exactly_their_subfamily(sel, d):
+    f = Field.from_selector(sel)
+    s = Sampler(f, 30 + d)
+    rng = random.Random(f"pierce/{sel}/{d}")
+    for _ in range(6):
+        fam, _ = s.common_point_family(rng.randint(1, 4), d)
+        extra, _ = s.common_point_family(rng.randint(1, 3), d)
+        joined = Family(f, d, list(fam.members) + list(extra.members))
+        candidates = _maximal_intersecting_subfamilies(joined)
+        assert candidates
+        for chosen, point in candidates:
+            assert chosen == oracle_coverage(joined, point), chosen

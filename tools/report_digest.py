@@ -9,7 +9,10 @@ exit code, stdout and stderr.  The calls are:
   pair is sent as ``intersect`` of the two sets plus ``flag`` and ``box``
   of each side;
 * ``verify --json`` at seeds 0 and 7 on padic:2 (30 trials), padic:3 (30),
-  ratfunc:3 (6) and ratfunc:0 (2).
+  ratfunc:3 (6) and ratfunc:0 (2);
+* ``witness helly``, ``breadth`` and ``frachelly`` with ``--json`` at
+  ``--dim`` 1, 2 and 3 on the same four fields, and ``witness
+  counterexample --json``.
 
 A change that must keep every report byte-identical leaves the digest
 unchanged.  Run from the repository root:
@@ -57,6 +60,11 @@ def calls():
         for field, trials in VERIFY:
             yield ["verify", "--field", field, "--seed", str(seed),
                    "--trials", str(trials), "--json"], None
+    for name in ("helly", "breadth", "frachelly"):
+        for dim in (1, 2, 3):
+            for field, _ in VERIFY:
+                yield ["witness", name, "--dim", str(dim), "--field", field, "--json"], None
+    yield ["witness", "counterexample", "--json"], None
 
 
 def digest() -> str:
