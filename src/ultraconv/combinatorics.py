@@ -8,11 +8,14 @@ re-validated offline with exact arithmetic.
 
 The exhaustive searches build only the hulls and intersections their
 answers need.  Partitions are enumerated block by block (each block holds
-the least unassigned index), subfamilies and combinations by increasing
-index; a running intersection is shared by every completion of its prefix,
-and a prefix whose intersection is empty is cut with its whole subtree.
-The last member or block is decided by ``meets``, which builds no
-intersection.  Hulls are cached by index bitmask within one call.
+the least unassigned index) and combinations by increasing index; a
+running intersection is shared by every completion of its prefix, and a
+prefix whose intersection is empty is cut with its whole subtree.  The last
+block is decided by ``meets``, which builds no intersection.  Hulls are
+cached by index bitmask within one call.
+
+Fractional Helly statistics and piercing candidates share one walk over the
+nerve of a family: the index sets whose members share a point.
 """
 from __future__ import annotations
 
@@ -355,15 +358,44 @@ def hyperplane_family(field: Field, d: int, n: int) -> Family:
 # ---------------------------------------------------------------------------
 # fractional statistics and piercing
 
+def _intersecting_leaves(fam: Family, start: Optional[ConvexSet]
+                         ) -> List[Tuple[Tuple[int, ...], ConvexSet]]:
+    """The leaves of the nerve walk, in depth-first order: each index set
+    with a common point that no later member meets, with its intersection.
+    Every maximal intersecting set is a leaf, so every intersecting set lies
+    inside one.  The walk goes over increasing indices with a running
+    intersection from ``start`` (None: the first chosen member), cutting
+    empty prefixes.  A child whose extension by every later index still has
+    a common point ends the walk over its later siblings: their leaves are
+    subsets of that extension, itself a leaf."""
+    members = fam.members
+    n = len(members)
+    leaves: List[Tuple[Tuple[int, ...], ConvexSet]] = []
+
+    def walk(lo: int, chosen: Tuple[int, ...], cur: Optional[ConvexSet]) -> bool:
+        # whether chosen together with every index from lo on has a common point
+        extendable = False
+        for j in range(lo, n):
+            nxt = members[j] if cur is None else intersect(cur, members[j])
+            if nxt.is_empty:
+                continue
+            extendable = True
+            if walk(j + 1, chosen + (j,), nxt):
+                return j == lo
+        if not extendable and chosen:
+            leaves.append((chosen, cur))
+        return lo == n
+
+    walk(0, (), start)
+    return leaves
+
+
 def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
     """(alpha, beta): the exact fraction of k-index-subfamilies with a
-    common point, and the maximum fraction of members sharing one point.
-
-    alpha counts the k-subsets by a depth-first search over increasing
-    indices that shares prefix intersections, cuts a prefix with empty
-    intersection and decides the last member with ``meets``; beta is a
-    depth-first search over subfamilies that prunes any branch whose running
-    intersection is empty.  Capped at 20 members.
+    common point (the nerve's k-faces over C(n, k)), and the largest
+    fraction of members sharing one point.  Every face lies inside a leaf
+    of ``_intersecting_leaves``, so alpha counts the distinct k-subsets of
+    the leaves and beta is the longest leaf over n.  Capped at 20 members.
     """
     n = len(fam)
     if n > 20:
@@ -372,66 +404,26 @@ def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
         raise ValueError("empty family has no statistics")
     if k < 1:
         raise ValueError("subfamily size must be at least 1")
-    members = fam.members
-
-    def hits(start: int, prefix: Tuple[ConvexSet, ...], need: int) -> int:
-        found = 0
-        for j in range(start, n - need + 1):
-            if need == 1:
-                found += meets(*prefix, members[j])
-            else:
-                acc = intersect(prefix[0], members[j]) if prefix else members[j]
-                if not acc.is_empty:
-                    found += hits(j + 1, (acc,), need - 1)
-        return found
-
+    leaves = [chosen for chosen, _ in _intersecting_leaves(fam, None)]
+    # each k-subset of a leaf as an index bitmask
+    faces = {sum(c) for chosen in leaves
+             for c in itertools.combinations([1 << i for i in chosen], k)}
     total = math.comb(n, k)
-    alpha = Fraction(1) if total == 0 else Fraction(hits(0, (), k), total)
-
-    best = 0
-
-    def dfs(start: int, current: Optional[ConvexSet], size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        for j in range(start, n):
-            if size + (n - j) <= best:
-                break
-            nxt = members[j] if current is None else intersect(current, members[j])
-            if nxt.is_empty:
-                continue
-            dfs(j + 1, nxt, size + 1)
-
-    dfs(0, None, 0)
-    beta = Fraction(best, n)
+    alpha = Fraction(1) if total == 0 else Fraction(len(faces), total)
+    beta = Fraction(max(map(len, leaves), default=0), n)
     return alpha, beta
 
 
 def _maximal_intersecting_subfamilies(fam: Family) -> List[Tuple[Tuple[int, ...], Vector]]:
     """All inclusion-maximal index sets with nonempty intersection, each
-    with one point of that intersection.  The point lies in no other member:
-    maximality means every other member misses the intersection."""
-    n = len(fam)
-    out: List[Tuple[Tuple[int, ...], Vector]] = []
-
-    def dfs(start: int, chosen: Tuple[int, ...], current: ConvexSet):
-        extendable = False
-        for j in range(start, n):
-            nxt = intersect(current, fam.members[j])
-            if not nxt.is_empty:
-                extendable = True
-                dfs(j + 1, chosen + (j,), nxt)
-        if extendable or not chosen:
-            return
-        # every later index misses; check maximality against the earlier
-        # absent ones
-        for j in range(start):
-            if j not in chosen and meets(current, fam.members[j]):
-                return
-        out.append((chosen, current.a_point()))
-
-    dfs(0, (), fam.full_space())
-    return out
+    with one point of that intersection: the leaves that no earlier absent
+    member meets either, so the point lies in no other member."""
+    members = fam.members
+    return [
+        (chosen, cur.a_point())
+        for chosen, cur in _intersecting_leaves(fam, fam.full_space())
+        if not any(j not in chosen and meets(cur, members[j]) for j in range(chosen[-1]))
+    ]
 
 
 def pierce(fam: Family) -> List[Vector]:
@@ -449,15 +441,10 @@ def pierce(fam: Family) -> List[Vector]:
     chosen: List[Vector] = []
     uncovered = set(range(n))
     while uncovered:
-        best_i = None
-        best_gain = -1
-        for i, (_, cov) in enumerate(coverage):
-            gain = len(cov & uncovered)
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        if best_gain <= 0:
+        # the first candidate of largest gain
+        pt, cov = max(coverage, key=lambda c: len(c[1] & uncovered))
+        if not cov & uncovered:
             raise AssertionError("some member is not covered by any candidate point")
-        pt, cov = coverage[best_i]
         chosen.append(pt)
         uncovered -= cov
     return chosen

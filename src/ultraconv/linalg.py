@@ -385,9 +385,12 @@ def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
     coefficient has least valuation (lowest index on ties).  Dividing the
     dependency by that coefficient writes the dropped vector as an
     O-combination of the others, so both the K-span and the O-span are kept.
+
+    Zero vectors go first: a zero column is never a pivot, so the rule drops
+    each of them, and drops the same nonzero vectors as without them.
     """
-    keep = list(range(len(vectors)))
-    while keep:
+    keep = [i for i, v in enumerate(vectors) if not v.is_zero]
+    while len(keep) > 1:
         A = Matrix.from_cols(field, [vectors[i] for i in keep], nrows=vectors[0].dim)
         ker = LinearSolver(A).kernel()
         if not ker:

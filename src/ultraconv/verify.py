@@ -663,6 +663,14 @@ def prop_pierce_covers(res: PropertyResult, s: Sampler, field: Field, trials: in
         fam, _ = s.common_point_family(s.rng.randint(1, 4), d)
         extra, _ = s.common_point_family(s.rng.randint(1, 3), d)
         joined = Family(field, d, list(fam.members) + list(extra.members))
+        n = len(joined)
+        alpha, beta = fractional_helly_stats(joined, 2)
+        pairs = sum(not joined.intersection(c).is_empty
+                    for c in itertools.combinations(range(n), 2))
+        if alpha != Fraction(pairs, math.comb(n, 2)):
+            res.record(f"trial {t}: alpha for pairs differs from the pair scan")
+        if beta * n < max(len(fam), len(extra)):
+            res.record(f"trial {t}: beta is below the larger common-point group")
         pts = pierce(joined)
         for m in joined.members:
             if not any(m.contains(p) for p in pts):

@@ -282,3 +282,21 @@ def test_combinatorics_property_suite(sel, trials):
                         seed=2718281, trials=trials)
     for r in results:
         assert r.ok, f"{r.name}: {r.failures}"
+
+
+@pytest.mark.parametrize("halve", [0, 1], ids=["alpha", "beta"])
+def test_pierce_covers_property_catches_halved_statistics(monkeypatch, halve):
+    """The random piercing property checks alpha against a pair scan and
+    beta against the larger common-point group, so a fractional_helly_stats
+    that halves either one makes it fail."""
+    from ultraconv import verify
+    stats = verify.fractional_helly_stats
+
+    def halved(fam, k):
+        out = list(stats(fam, k))
+        out[halve] /= 2
+        return tuple(out)
+
+    monkeypatch.setattr(verify, "fractional_helly_stats", halved)
+    results = verify.run_suite("combinatorics", Field.padic(2), seed=0, trials=6)
+    assert next(r for r in results if r.name == "pierce_covers").failures

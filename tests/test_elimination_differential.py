@@ -22,6 +22,7 @@ from ultraconv.linalg import (
     OrthoBasis,
     ScaleSystem,
     Vector,
+    independent_indices,
     orthogonalize,
 )
 
@@ -116,6 +117,7 @@ def oracle_least_index(items):
 
 
 def oracle_independent_indices(field, vectors):
+    """The drop rule run on every vector, zero ones included."""
     keep = list(range(len(vectors)))
     while keep:
         A = oracle_from_cols(field, [vectors[i] for i in keep], vectors[0].dim)
@@ -340,3 +342,26 @@ def test_scale_system_matches_pullback_oracle(sel, trials):
             found += c is not None
             nones += c is None
     assert found > 0 and nones > 0
+
+
+@pytest.mark.parametrize("sel,trials", FIELDS)
+def test_independent_indices_matches_drop_loop_oracle(sel, trials):
+    """Zero vectors mixed in anywhere: dropping them up front and skipping
+    the single-vector solve keeps the drop loop's answer."""
+    f = Field.from_selector(sel)
+    rng = random.Random(f"independent-{sel}")
+    limit = 3 if sel == "ratfunc:0" else 5
+    seen = set()
+    for trial in range(trials):
+        d, n = rng.randint(1, limit), rng.randint(0, limit + 1)
+        vs = vectors(f, rng, n, d)
+        for _ in range(rng.randint(0, 2)):
+            vs.insert(rng.randint(0, len(vs)), Vector.zero(f, d))
+        got = independent_indices(f, vs)
+        assert got == oracle_independent_indices(f, vs), (sel, trial)
+        nonzero = sum(not v.is_zero for v in vs)
+        seen.add((nonzero > len(got), nonzero < len(vs), nonzero))
+    # dependent nonzero vectors next to zero ones, and lists with one or no
+    # nonzero vector
+    assert (True, True) in {(a, b) for a, b, _ in seen}
+    assert {0, 1} <= {c for _, _, c in seen}

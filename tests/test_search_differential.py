@@ -2,10 +2,13 @@
 enumerations they replaced: Tverberg partition counts against the
 restricted-growth enumerator with its intersection fold, ``meets`` against
 the folded ``intersect``, alpha against the per-combination fold,
-``breadth_reduce`` against the per-combination ``equals`` scan, and the
-piercing candidates' coverage against a membership scan."""
+``breadth_reduce`` against the per-combination ``equals`` scan, the
+piercing candidates' coverage against a membership scan, and the one nerve
+walk behind alpha, beta and the piercing candidates against the three
+depth-first searches it replaced."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from ultraconv.convex import (
     meets,
     quasi_ball,
 )
+from ultraconv import combinatorics
 from ultraconv.combinatorics import (
     Family,
     breadth_reduce,
@@ -29,6 +33,7 @@ from ultraconv.combinatorics import (
     _maximal_intersecting_subfamilies,
     fractional_helly_stats,
     hyperplane_family,
+    pierce,
 )
 from ultraconv.randgen import Sampler
 
@@ -95,6 +100,68 @@ def oracle_beta(fam):
         default=0,
     )
     return Fraction(best, n)
+
+
+def oracle_alpha_hits(fam, k):
+    """Alpha as a depth-first count of the k-subsets: shared prefix
+    intersections, empty prefixes cut, the last member decided by meets."""
+    n, members = len(fam), fam.members
+
+    def hits(start, prefix, need):
+        found = 0
+        for j in range(start, n - need + 1):
+            if need == 1:
+                found += meets(*prefix, members[j])
+            else:
+                acc = intersect(prefix[0], members[j]) if prefix else members[j]
+                if not acc.is_empty:
+                    found += hits(j + 1, (acc,), need - 1)
+        return found
+
+    total = math.comb(n, k)
+    return Fraction(1) if total == 0 else Fraction(hits(0, (), k), total)
+
+
+def oracle_beta_dfs(fam):
+    """Beta as a depth-first search over subfamilies that prunes an empty
+    running intersection and a branch too short to beat the best."""
+    n, members = len(fam), fam.members
+    best = 0
+
+    def dfs(start, current, size):
+        nonlocal best
+        best = max(best, size)
+        for j in range(start, n):
+            if size + (n - j) <= best:
+                break
+            nxt = members[j] if current is None else intersect(current, members[j])
+            if not nxt.is_empty:
+                dfs(j + 1, nxt, size + 1)
+
+    dfs(0, None, 0)
+    return Fraction(best, n)
+
+
+def oracle_maximal_subfamilies(fam):
+    """Every intersecting subfamily visited from the whole space; a leaf
+    that no member meets, earlier or later, is kept with a point."""
+    n, out = len(fam), []
+
+    def dfs(start, chosen, current):
+        extendable = False
+        for j in range(start, n):
+            nxt = intersect(current, fam.members[j])
+            if not nxt.is_empty:
+                extendable = True
+                dfs(j + 1, chosen + (j,), nxt)
+        if extendable or not chosen:
+            return
+        if any(j not in chosen and meets(current, fam.members[j]) for j in range(start)):
+            return
+        out.append((chosen, current.a_point()))
+
+    dfs(0, (), fam.full_space())
+    return out
 
 
 def oracle_breadth(fam):
@@ -270,3 +337,77 @@ def test_pierce_candidates_lie_in_exactly_their_subfamily(sel, d):
         assert candidates
         for chosen, point in candidates:
             assert chosen == oracle_coverage(joined, point), chosen
+
+
+# ---------------------------------------------------------------------------
+# the nerve walk behind alpha, beta and the piercing candidates
+
+def designed_families(f, d):
+    """Copies of a ball, nested balls, two disjoint clusters in both
+    orders, an isolated member, and a family with a line."""
+    zero = Vector.zero(f, d)
+    a = quasi_ball(zero, 0)
+    b = quasi_ball(Vector.unit(f, d, 0).scale(f.uniformizer_pow(-1)), 0)
+    far = Vector.unit(f, d, d - 1).scale(f.uniformizer_pow(-1))
+    line = ConvexSet.of(zero, MixedModule(f, d, [Vector.unit(f, d, 0)], ()))
+    return [
+        Family(f, d, [a] * 6),
+        Family(f, d, [quasi_ball(zero, r) for r in (0, 2, -1, 1)]),
+        Family(f, d, [a, b] * 4),
+        Family(f, d, [a] * 4 + [b] * 4),
+        Family(f, d, [a, a, b, a, a]),
+        Family(f, d, [a, line, quasi_ball(far, 0), ConvexSet.point(far),
+                      quasi_ball(zero, 1)]),
+    ]
+
+
+def joined_families(f, d, seed, count):
+    """Two common-point families joined, as the piercing property draws
+    them."""
+    s = Sampler(f, seed)
+    rng = random.Random(seed)
+    for _ in range(count):
+        fam, _ = s.common_point_family(rng.randint(1, 4), d)
+        extra, _ = s.common_point_family(rng.randint(1, 3), d)
+        yield Family(f, d, list(fam.members) + list(extra.members))
+
+
+@pytest.mark.parametrize("sel", FIELDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_nerve_walk_matches_the_three_searches_it_replaced(sel, d):
+    f = Field.from_selector(sel)
+    fams = designed_families(f, d) + list(joined_families(f, d, 40 + d, 6))
+    several = 0
+    for fam in fams:
+        beta = oracle_beta_dfs(fam)
+        for k in range(1, len(fam) + 2):
+            assert fractional_helly_stats(fam, k) == (oracle_alpha_hits(fam, k), beta), k
+        candidates = _maximal_intersecting_subfamilies(fam)
+        assert candidates == oracle_maximal_subfamilies(fam)
+        several += len(candidates) > 1
+    assert several >= 3
+
+
+def test_nerve_walk_on_copies_of_a_ball_is_linear(monkeypatch):
+    """20 copies of the unit ball: one face, reached by one chain of
+    intersections; no enumeration of its 2^20 subfamilies.  The counted
+    calls stop the search as soon as it spends more than its budget."""
+    f = Field.padic(2)
+    fam = Family(f, 2, [quasi_ball(Vector.zero(f, 2), 0)] * 20)
+    calls = []
+    budget = 0
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn.__name__)
+            assert len(calls) <= budget, "over the call budget"
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(combinatorics, "intersect", counted(intersect))
+    monkeypatch.setattr(combinatorics, "meets", counted(meets))
+    budget = 20
+    assert pierce(fam) == [Vector.zero(f, 2)]
+    calls.clear()
+    budget = 19
+    assert fractional_helly_stats(fam, 10) == (Fraction(1), Fraction(1))

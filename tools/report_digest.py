@@ -12,7 +12,11 @@ exit code, stdout and stderr.  The calls are:
   ratfunc:3 (6) and ratfunc:0 (2);
 * ``witness helly``, ``breadth`` and ``frachelly`` with ``--json`` at
   ``--dim`` 1, 2 and 3 on the same four fields, and ``witness
-  counterexample --json``.
+  counterexample --json``;
+* ``pierce``, ``helly`` and ``frachelly`` at k = 1, 2 and 3 on each of six
+  designed families over padic:2 in dimension 2 (``DESIGNED``): copies of
+  a ball, nested balls, two disjoint clusters interleaved and in a row, an
+  isolated member, and a family with a line.
 
 A change that must keep every report byte-identical leaves the digest
 unchanged.  Run from the repository root:
@@ -43,6 +47,22 @@ SEEDS = range(1, 9)
 VERIFY = (("padic:2", 30), ("padic:3", 30), ("ratfunc:3", 6), ("ratfunc:0", 2))
 
 
+def _ball(x: str, y: str, scale: str = "1") -> dict:
+    return {"translate": [x, y], "integral": [[scale, "0"], ["0", scale]]}
+
+
+_A, _B = _ball("0", "0"), _ball("1/2", "0")
+DESIGNED = (
+    [_A] * 6,
+    [_ball("0", "0", r) for r in ("1", "4", "1/2", "2")],
+    [_A, _B] * 4,
+    [_A] * 4 + [_B] * 4,
+    [_A, _A, _B, _A, _A],
+    [_A, {"translate": ["0", "0"], "free": [["1", "0"]]}, _ball("0", "1/2"),
+     {"translate": ["0", "1/2"]}, _ball("0", "0", "2")],
+)
+
+
 def calls():
     """(argv, stdin text) of every report, in a fixed order."""
     for workload in payloads.WORKLOADS:
@@ -65,6 +85,12 @@ def calls():
             for field, _ in VERIFY:
                 yield ["witness", name, "--dim", str(dim), "--field", field, "--json"], None
     yield ["witness", "counterexample", "--json"], None
+    field = ["--field", "padic:2", "--json"]
+    for fam in DESIGNED:
+        yield ["pierce", *field], {"family": fam}
+        yield ["helly", *field], {"family": fam}
+        for k in (1, 2, 3):
+            yield ["frachelly", *field], {"family": fam, "k": k}
 
 
 def digest() -> str:
