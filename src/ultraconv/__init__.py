@@ -20,9 +20,6 @@ from .linalg import (
     Matrix,
     OrthoBasis,
     Vector,
-    constrained_kernel,
-    coords,
-    mixed_solve,
     orthogonalize,
     solve,
 )
@@ -37,7 +34,6 @@ from .convex import (
     TooFewPointsError,
     box_presentation,
     caratheodory_indices,
-    caratheodory_reduce,
     conv_hull,
     equals,
     flag_decompose,
@@ -74,12 +70,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Field", "FieldElement", "INFINITY", "ParseError", "is_prime",
     "Vector", "Matrix", "LinearSolver", "OrthoBasis", "DimensionError",
-    "orthogonalize", "coords", "solve", "constrained_kernel", "mixed_solve",
-    "FREE", "INTEGRAL",
+    "orthogonalize", "solve", "FREE", "INTEGRAL",
     "MixedModule", "ConvexSet", "FlagForm", "BoxPresentation",
     "RadonCertificate", "TooFewPointsError", "FULL", "ONLY_INFINITY",
     "conv_hull", "quasi_ball", "radon_point", "validate_radon",
-    "caratheodory_indices", "caratheodory_reduce", "subset", "equals",
+    "caratheodory_indices", "subset", "equals",
     "intersect", "flag_decompose", "box_presentation",
     "Family", "EmptyIntersectionError", "TooLargeError",
     "helly_point", "helly_lower_bound_witness", "coordinate_hyperplanes",

@@ -394,8 +394,9 @@ def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
     """(alpha, beta): the exact fraction of k-index-subfamilies with a
     common point (the nerve's k-faces over C(n, k)), and the largest
     fraction of members sharing one point.  Every face lies inside a leaf
-    of ``_intersecting_leaves``, so alpha counts the distinct k-subsets of
-    the leaves and beta is the longest leaf over n.  Capped at 20 members.
+    of ``_intersecting_leaves`` that lies inside no other leaf, so alpha
+    counts each k-subset of those leaves once, at the first leaf that holds
+    it, and beta is the longest leaf over n.  Capped at 20 members.
     """
     n = len(fam)
     if n > 20:
@@ -405,11 +406,19 @@ def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
     if k < 1:
         raise ValueError("subfamily size must be at least 1")
     leaves = [chosen for chosen, _ in _intersecting_leaves(fam, None)]
-    # each k-subset of a leaf as an index bitmask
-    faces = {sum(c) for chosen in leaves
-             for c in itertools.combinations([1 << i for i in chosen], k)}
+    masks = [sum(1 << i for i in chosen) for chosen in leaves]
+    kept = [(c, m) for c, m in zip(leaves, masks)
+            if not any(m != o and m & o == m for o in masks)]
+    faces = math.comb(len(kept[0][0]), k) if kept else 0
+    for i in range(1, len(kept)):
+        earlier = [m for _, m in kept[:i]]
+        # each k-subset of the leaf as an index bitmask, unless an earlier
+        # kept leaf holds it
+        for face in map(sum, itertools.combinations([1 << j for j in kept[i][0]], k)):
+            if not any(face & m == face for m in earlier):
+                faces += 1
     total = math.comb(n, k)
-    alpha = Fraction(1) if total == 0 else Fraction(len(faces), total)
+    alpha = Fraction(1) if total == 0 else Fraction(faces, total)
     beta = Fraction(max(map(len, leaves), default=0), n)
     return alpha, beta
 

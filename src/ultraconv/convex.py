@@ -18,15 +18,14 @@ from .linalg import (
     FREE,
     INTEGRAL,
     DimensionError,
-    LinearSolver,
     Matrix,
     OrthoBasis,
     ScaleSystem,
     Vector,
-    coords,
+    _drop_step,
     independent_indices,
-    least_valuation_index,
     orthogonalize,
+    solve,
 )
 
 FULL = "full"
@@ -215,32 +214,33 @@ class TooFewPointsError(ValueError):
     """Not enough points for the requested construction."""
 
 
+def _lifted(points: Sequence[Vector]) -> List[Vector]:
+    """The points with a coordinate 1 appended: an affine dependency of the
+    points is a linear dependency of these.  Points of unequal dimension
+    raise ``DimensionError``."""
+    field, d = points[0].field, points[0].dim
+    if any(p.dim != d for p in points):
+        raise DimensionError("points of unequal dimension")
+    return [Vector(field, (*p, field.one)) for p in points]
+
+
 def radon_point(points: Sequence[Vector]) -> RadonCertificate:
     """For at least d+2 points in dimension d, certify that one of them is
     an integral convex combination of the others.
 
-    A nontrivial affine dependency sum a_i x_i = 0, sum a_i = 0 is computed
-    and the index of minimal-valuation a_i (lowest index on ties) is
-    eliminated; dividing by it makes every remaining coefficient integral.
+    A nontrivial affine dependency sum a_i x_i = 0, sum a_i = 0 is read off
+    the lifted points by the drop rule's step, which also names the index of
+    minimal-valuation a_i (lowest index on ties); dividing by it makes every
+    remaining coefficient integral.
     """
     if not points:
         raise TooFewPointsError("no points given")
-    field = points[0].field
-    d = points[0].dim
-    n = len(points)
+    d, n = points[0].dim, len(points)
     if n < d + 2:
         raise TooFewPointsError(f"need at least {d + 2} points in dimension {d}, got {n}")
-    rows = [[p[r] for p in points] for r in range(d)]
-    rows.append([field.one] * n)
-    A = Matrix(field, rows)
-    ker = LinearSolver(A).kernel()
-    if not ker:
-        raise AssertionError("affine dependency must exist for d+2 points")
-    a = ker[0]
-    best = least_valuation_index([c.val() for c in a])
+    a, best = _drop_step(points[0].field, _lifted(points), d + 1)
     pivot = a[best]
-    coeffs = [-(a[j] / pivot) for j in range(n) if j != best]
-    return RadonCertificate(best, coeffs)
+    return RadonCertificate(best, [-(a[j] / pivot) for j in range(n) if j != best])
 
 
 def validate_radon(points: Sequence[Vector], cert: RadonCertificate) -> bool:
@@ -266,19 +266,16 @@ def validate_radon(points: Sequence[Vector], cert: RadonCertificate) -> bool:
 
 def caratheodory_indices(points: Sequence[Vector]) -> List[int]:
     """Indices of a sublist of at most d+1 points with the same hull,
-    obtained by repeatedly deleting the point a Radon certificate rewrites."""
+    obtained by repeatedly deleting the point the drop rule's step picks in
+    an affine dependency of the remaining ones, as ``radon_point`` does."""
     if not points:
         return []
-    d = points[0].dim
+    field, d = points[0].field, points[0].dim
+    lifted = _lifted(points)
     live = list(range(len(points)))
     while len(live) > d + 1:
-        cert = radon_point([points[i] for i in live])
-        del live[cert.index]
+        del live[_drop_step(field, [lifted[i] for i in live], d + 1)[1]]
     return live
-
-
-def caratheodory_reduce(points: Sequence[Vector]) -> List[Vector]:
-    return [points[i] for i in caratheodory_indices(points)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +448,10 @@ class FlagForm:
         """Membership via coordinates in the entry vectors plus the
         per-entry valuation constraint.  Solves a fresh linear system, so it
         is an independent check against the solver-based membership."""
-        if not self.entries:
-            return x.is_zero
-        cs = coords([v for v, _ in self.entries], x, field=self.field)
-        if cs is None:
+        got = solve(Matrix.from_cols(self.field, [v for v, _ in self.entries], nrows=x.dim), x)
+        if got is None:
             return False
-        for c, (_, delta) in zip(cs.coords, self.entries):
+        for c, (_, delta) in zip(got[0], self.entries):
             if delta == FULL:
                 continue
             if not c.val() >= delta:

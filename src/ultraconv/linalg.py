@@ -11,14 +11,16 @@ exact.  It provides:
   of A off the one reduced form of [A | b],
 * ``independent_indices``: the one dependency-drop rule (drop the
   coefficient of least valuation in the first kernel vector), which keeps
-  both the K-span and the O-span of a list of vectors,
+  both the K-span and the O-span of a list of vectors; the Radon and
+  Caratheodory reductions in ``convex`` take the same step,
 * ``orthogonalize``: a valuation-orthogonal basis of the O-span of a list of
-  vectors, built by valuation-pivoted elimination after that rule, with
-  valuations and pivots read on all coordinates or on a chosen subset; its
+  vectors, built by valuation-pivoted elimination, with the drop rule run
+  first only when elimination shows the list dependent; valuations and
+  pivots are read on all coordinates or on a chosen subset, and the
   weights gamma_i are ints, the valuations of the basis vectors,
-* ``ScaleSystem`` (``constrained_kernel`` / ``mixed_solve``): kernels and
-  affine systems where a chosen subset of coordinates is constrained to
-  the valuation ring O, with each part reduced when first asked for.
+* ``ScaleSystem``: kernels and affine systems where a chosen subset of
+  coordinates is constrained to the valuation ring O, with each part
+  reduced when first asked for.
 """
 from __future__ import annotations
 
@@ -261,11 +263,6 @@ class LinearSolver:
         pivot_cols = {c for _, c in pivots}
         self.free_cols = [c for c in range(n) if c not in pivot_cols]
 
-    def solve(self, b: Vector) -> Optional[Vector]:
-        """The particular solution of ``solve(A, b)``, or None."""
-        got = solve(self.A, b)
-        return None if got is None else got[0]
-
     def kernel(self) -> List[Vector]:
         """A basis of the kernel, one vector per free column, in column order."""
         field, ops = self.field, self.field.ops
@@ -299,18 +296,6 @@ def solve(A: Matrix, b: Vector) -> Optional[Tuple[Vector, List[Vector]]]:
         return None
     *ker, last = aug.kernel()
     return (-last).project(range(n)), [k.project(range(n)) for k in ker]
-
-
-def coords(basis: Sequence[Vector], x: Vector, field: Optional[Field] = None) -> Optional[Vector]:
-    """Coefficients expressing x in a linearly independent family, or None."""
-    if field is None:
-        if not basis:
-            raise ValueError("cannot infer field from an empty basis")
-        field = basis[0].field
-    got = solve(Matrix.from_cols(field, list(basis), nrows=x.dim), x)
-    if got is not None and got[1]:
-        raise ValueError("coords requires a linearly independent family")
-    return None if got is None else got[0]
 
 
 class OrthoBasis:
@@ -377,25 +362,32 @@ def least_valuation_index(vals: Sequence[int]) -> int:
     return min(range(len(vals)), key=vals.__getitem__)
 
 
-def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
-    """Indices of a maximal linearly independent sublist.
+def _drop_step(field: Field, cols: Sequence[Vector], nrows: int) -> Optional[Tuple[Vector, int]]:
+    """One step of the drop rule: the first kernel vector of the column
+    matrix and the index of its coefficient of least valuation (lowest
+    index on ties), or None when the columns are independent.  Dividing the
+    dependency by that coefficient makes every other one integral, so the
+    column at the index is an O-combination of the others."""
+    ker = LinearSolver(Matrix.from_cols(field, cols, nrows=nrows)).kernel()
+    if not ker:
+        return None
+    return ker[0], least_valuation_index(list(map(field.ops.val, ker[0]._data)))
 
-    The drop rule: while the kept vectors are dependent, take the first
-    kernel vector of their column matrix and drop the vector whose
-    coefficient has least valuation (lowest index on ties).  Dividing the
-    dependency by that coefficient writes the dropped vector as an
-    O-combination of the others, so both the K-span and the O-span are kept.
+
+def independent_indices(field: Field, vectors: Sequence[Vector]) -> List[int]:
+    """Indices of a maximal linearly independent sublist, by the drop rule
+    (``_drop_step``) while the kept vectors are dependent; both the K-span
+    and the O-span are kept.
 
     Zero vectors go first: a zero column is never a pivot, so the rule drops
     each of them, and drops the same nonzero vectors as without them.
     """
     keep = [i for i, v in enumerate(vectors) if not v.is_zero]
     while len(keep) > 1:
-        A = Matrix.from_cols(field, [vectors[i] for i in keep], nrows=vectors[0].dim)
-        ker = LinearSolver(A).kernel()
-        if not ker:
+        step = _drop_step(field, [vectors[i] for i in keep], vectors[0].dim)
+        if step is None:
             break
-        del keep[least_valuation_index(list(map(field.ops.val, ker[0]._data)))]
+        del keep[step[1]]
     return keep
 
 
@@ -403,16 +395,17 @@ def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
                   on: Optional[Sequence[int]] = None) -> OrthoBasis:
     """A valuation-orthogonal basis of the O-span of the given vectors.
 
-    Valuations, pivots and the drop rule read only the coordinates listed
-    in ``on`` (default: all of them), while every row operation acts on
-    whole vectors.  The returned vectors are combinations of the inputs
-    whose projections onto ``on`` form a valuation-orthogonal basis of the
-    O-span of the projected inputs; pivots index the whole vectors and
-    weights are valuations of the projections.
+    Valuations and pivots read only the coordinates listed in ``on``
+    (default: all of them), while every row operation acts on whole
+    vectors.  The returned vectors are combinations of the inputs whose
+    projections onto ``on`` form a valuation-orthogonal basis of the O-span
+    of the projected inputs; pivots index the whole vectors and weights are
+    valuations of the projections.
 
-    Dependent vectors are absorbed first by ``independent_indices``, which
-    keeps the O-span exactly; eliminating with a chosen vector keeps the
-    rest independent, so nothing is dropped after that.
+    Elimination keeps independent projections independent, so a projection
+    that vanishes during it shows the input dependent.  Only then are the
+    dependent vectors absorbed by ``independent_indices``, which keeps the
+    O-span exactly, and the survivors eliminated again.
     """
     if field is None:
         if not vectors:
@@ -424,15 +417,26 @@ def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
             raise DimensionError("vectors of unequal dimension")
     if on is None:
         on = range(dim)
+    basis = _eliminate(field, dim, [v._data for v in vectors], on)
+    if basis is None:
+        kept = independent_indices(field, [v.project(on) for v in vectors])
+        basis = _eliminate(field, dim, [vectors[i]._data for i in kept], on)
+    return basis
+
+
+def _eliminate(field: Field, dim: int, work: List[tuple], on: Sequence[int]) -> Optional[OrthoBasis]:
+    """Valuation-pivoted elimination of payload vectors on the coordinates
+    ``on``; None as soon as one of their projections vanishes."""
     ops = field.ops
-    work = [vectors[i]._data for i in independent_indices(field, [v.project(on) for v in vectors])]
     # valuations of each working vector on the coordinates in ``on``
     vals = [[ops.val(w[j]) for j in on] for w in work]
     out_vecs, out_pivots, out_gammas = [], [], []
     while work:
-        k = least_valuation_index([min(v) for v in vals])
-        u, uvals = work.pop(k), vals.pop(k)
-        gamma = min(uvals)
+        mins = [min(v, default=INFINITY) for v in vals]
+        if INFINITY in mins:
+            return None
+        k = least_valuation_index(mins)
+        u, uvals, gamma = work.pop(k), vals.pop(k), mins[k]
         # pivot: least coordinate index realizing the projected valuation
         pivot = on[uvals.index(gamma)]
         inv_top = ops.inv(u[pivot])
@@ -514,15 +518,3 @@ class ScaleSystem:
         # of the projected complement: a box point exists iff they are integral
         _, out = self._ortho._reduce(c0)
         return out if out.project(self.int_indices).val() >= 0 else None
-
-
-def constrained_kernel(G: Matrix, scales: Sequence[str]) -> Tuple[List[Vector], List[Vector]]:
-    """Generators of {c : G c = 0, c_i in O for INTEGRAL i} as a pair
-    (free basis, integral generators)."""
-    sys = ScaleSystem(G, scales)
-    return sys.free_part, sys.integral_part
-
-
-def mixed_solve(G: Matrix, scales: Sequence[str], x: Vector) -> Optional[Vector]:
-    """Some c with G c = x whose INTEGRAL coordinates lie in O, else None."""
-    return ScaleSystem(G, scales).solve_box(x)

@@ -24,8 +24,6 @@ from .linalg import (
     Matrix,
     ScaleSystem,
     Vector,
-    constrained_kernel,
-    mixed_solve,
     orthogonalize,
     solve,
 )
@@ -33,7 +31,7 @@ from .convex import (
     FULL,
     ConvexSet,
     MixedModule,
-    caratheodory_reduce,
+    caratheodory_indices,
     conv_hull,
     equals,
     flag_decompose,
@@ -184,16 +182,15 @@ def prop_ortho_span_preserved(res: PropertyResult, s: Sampler, field: Field, tri
     for t, d in _dims(trials):
         gens = [s.vector(d, nonzero=True) for _ in range(s.rng.randint(1, d + 2))]
         basis = orthogonalize(gens, field=field)
-        Gin = Matrix.from_cols(field, gens, nrows=d)
-        Gout = Matrix.from_cols(field, list(basis.vectors), nrows=d)
-        sin = [INTEGRAL] * len(gens)
-        sout = [INTEGRAL] * len(basis.vectors)
+        sys_in = ScaleSystem(Matrix.from_cols(field, gens, nrows=d), [INTEGRAL] * len(gens))
+        sys_out = ScaleSystem(Matrix.from_cols(field, list(basis.vectors), nrows=d),
+                              [INTEGRAL] * len(basis.vectors))
         for g in gens:
-            if len(basis.vectors) == 0 or mixed_solve(Gout, sout, g) is None:
+            if sys_out.solve_box(g) is None:
                 res.record(f"trial {t}: input generator escapes the output span")
                 break
         for u in basis.vectors:
-            if mixed_solve(Gin, sin, u) is None:
+            if sys_in.solve_box(u) is None:
                 res.record(f"trial {t}: output vector escapes the input span")
                 break
 
@@ -231,7 +228,8 @@ def prop_constrained_kernel_sound(res: PropertyResult, s: Sampler, field: Field,
         n = s.rng.randint(1, d + 2)
         G = Matrix(field, [[s.element() for _ in range(n)] for _ in range(d)])
         scales = _random_scales(s, n)
-        free, integral = constrained_kernel(G, scales)
+        system = ScaleSystem(G, scales)
+        free, integral = system.free_part, system.integral_part
         for _ in range(10):
             acc = Vector.zero(field, n)
             for v in free:
@@ -259,10 +257,11 @@ def prop_constrained_kernel_complete(res: PropertyResult, s: Sampler, field: Fie
         kernel = LinearSolver(G).kernel()
         if not kernel:
             continue
-        free, integral = constrained_kernel(G, scales)
+        system = ScaleSystem(G, scales)
+        free, integral = system.free_part, system.integral_part
         cols = free + integral
-        outscales = [FREE] * len(free) + [INTEGRAL] * len(integral)
-        Gout = Matrix.from_cols(field, cols, nrows=n) if cols else None
+        sys_out = ScaleSystem(Matrix.from_cols(field, cols, nrows=n),
+                              [FREE] * len(free) + [INTEGRAL] * len(integral))
         for _ in range(10):
             z = Vector.zero(field, n)
             for b in kernel:
@@ -271,7 +270,7 @@ def prop_constrained_kernel_complete(res: PropertyResult, s: Sampler, field: Fie
                 continue
             if z.is_zero:
                 continue
-            if Gout is None or mixed_solve(Gout, outscales, z) is None:
+            if sys_out.solve_box(z) is None:
                 res.record(f"trial {t}: scale-respecting kernel point missed")
                 break
 
@@ -286,7 +285,7 @@ def prop_mixed_solve_correct(res: PropertyResult, s: Sampler, field: Field, tria
             s.integral_element() if sc == INTEGRAL else s.element() for sc in scales
         ])
         x = G.mul_vec(c)
-        got = mixed_solve(G, scales, x)
+        got = ScaleSystem(G, scales).solve_box(x)
         if got is None:
             res.record(f"trial {t}: solvable box instance reported unsolvable")
             continue
@@ -339,7 +338,7 @@ def prop_radon_validates(res: PropertyResult, s: Sampler, field: Field, trials: 
 def prop_caratheodory_equality(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials):
         pts = s.points(s.rng.randint(d + 2, 12), d)
-        sub = caratheodory_reduce(pts)
+        sub = [pts[i] for i in caratheodory_indices(pts)]
         if len(sub) > d + 1:
             res.record(f"trial {t}: reduction kept {len(sub)} points")
             continue

@@ -381,8 +381,8 @@ def test_cli_import_leaves_verify_and_sampler_unloaded():
     script = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import ultraconv.cli\n"
-        "print([m for m in ('ultraconv.verify', 'ultraconv.randgen', 'dataclasses')"
-        " if m in sys.modules])\n"
+        "print([m for m in ('ultraconv.verify', 'ultraconv.randgen', 'dataclasses',"
+        " 'inspect', 'ast') if m in sys.modules])\n"
         "from ultraconv import run_suite, PropertyResult, Sampler\n"
         "print(run_suite.__module__, PropertyResult.__module__, Sampler.__module__)\n"
     )

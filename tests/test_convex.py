@@ -3,7 +3,7 @@
 import pytest
 
 from ultraconv.field import Field
-from ultraconv.linalg import FREE, INTEGRAL, Matrix, Vector, mixed_solve
+from ultraconv.linalg import FREE, INTEGRAL, Matrix, ScaleSystem, Vector
 from ultraconv.convex import (
     FULL,
     ConvexSet,
@@ -298,11 +298,11 @@ def test_module_membership_matches_scale_constrained_solve(sel):
         d = 1 + t % 3
         mod = s.module(d, max_free=1)
         G = Matrix.from_cols(f, mod.free_gens + mod.integral_gens, nrows=d)
-        scales = [FREE] * len(mod.free_gens) + [INTEGRAL] * len(mod.integral_gens)
+        system = ScaleSystem(G, [FREE] * len(mod.free_gens) + [INTEGRAL] * len(mod.integral_gens))
         for i in range(6):
             x = s.module_point(mod) if i % 2 == 0 else s.vector(d)
             got = mod.member(x)
-            assert got == (mixed_solve(G, scales, x) is not None), f"module {t}, probe {i}"
+            assert got == (system.solve_box(x) is not None), f"module {t}, probe {i}"
             seen.add(got)
     assert seen == {True, False}
 

@@ -24,6 +24,7 @@ from ultraconv.linalg import (
     Vector,
     independent_indices,
     orthogonalize,
+    solve,
 )
 
 FIELDS = (("padic:2", 150), ("padic:3", 100), ("ratfunc:3", 60), ("ratfunc:0", 16))
@@ -298,7 +299,8 @@ def test_solver_matches_transform_oracle(sel, trials):
         assert got.kernel() == want.kernel(), (sel, trial)
         assert (got.pivots, got.rank, got.free_cols) == (want.pivots, want.rank, want.free_cols)
         for b in right_hand_sides(f, rng, A):
-            x = got.solve(b)
+            x = solve(A, b)
+            x = None if x is None else x[0]
             assert x == want.solve(b), (sel, trial)
             nones += x is None
     assert nones > 0

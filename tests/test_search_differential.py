@@ -10,6 +10,7 @@ depth-first searches it replaced."""
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -411,3 +412,18 @@ def test_nerve_walk_on_copies_of_a_ball_is_linear(monkeypatch):
     calls.clear()
     budget = 19
     assert fractional_helly_stats(fam, 10) == (Fraction(1), Fraction(1))
+
+
+def test_fractional_helly_counts_the_faces_of_a_leaf_without_storing_them():
+    """k = 10 on 20 copies of the unit ball: all C(20, 10) = 184,756 faces
+    lie in one leaf, and are counted, not kept (a set of their bitmasks
+    peaks at about 17 MB)."""
+    f = Field.padic(2)
+    fam = Family(f, 2, [quasi_ball(Vector.zero(f, 2), 0)] * 20)
+    tracemalloc.start()
+    try:
+        assert fractional_helly_stats(fam, 10) == (Fraction(1), Fraction(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

@@ -16,7 +16,12 @@ exit code, stdout and stderr.  The calls are:
 * ``pierce``, ``helly`` and ``frachelly`` at k = 1, 2 and 3 on each of six
   designed families over padic:2 in dimension 2 (``DESIGNED``): copies of
   a ball, nested balls, two disjoint clusters interleaved and in a row, an
-  isolated member, and a family with a line.
+  isolated member, and a family with a line;
+* ``radon``, ``caratheodory`` and ``tverberg`` at r = 2 and 3 with
+  ``--json`` on each of seven designed point sets with repeated and
+  collinear points (``DEGENERATE``), on the four fields above: the
+  dependencies there have zero coefficients and ties in the least
+  valuation, which general-position points rarely give.
 
 A change that must keep every report byte-identical leaves the digest
 unchanged.  Run from the repository root:
@@ -62,6 +67,17 @@ DESIGNED = (
      {"translate": ["0", "1/2"]}, _ball("0", "0", "2")],
 )
 
+DEGENERATE = tuple([[str(x) for x in p] for p in pts] for pts in (
+    [(0,), (1,), (2,)],
+    [(0,), (2,), (1,), (4,), (3,), (1,)],
+    [(1, 1)] * 5,
+    [(0, 0), (0, 0), (1, 0), (0, 1), (1, 0)],
+    [(0, 0), (1, 1), (2, 2), (3, 3), (5, 5)],
+    [(0, 0), (1, 2), (0, 0), (2, 4), (1, 2), (3, 1), (6, 2)],
+    [(0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0),
+     (1, 1, 0), (0, 0, 0)],
+))
+
 
 def calls():
     """(argv, stdin text) of every report, in a fixed order."""
@@ -91,6 +107,12 @@ def calls():
         yield ["helly", *field], {"family": fam}
         for k in (1, 2, 3):
             yield ["frachelly", *field], {"family": fam, "k": k}
+    for field, _ in VERIFY:
+        for pts in DEGENERATE:
+            yield ["radon", "--field", field, "--json"], {"points": pts}
+            yield ["caratheodory", "--field", field, "--json"], {"points": pts}
+            for r in (2, 3):
+                yield ["tverberg", "--field", field, "--json"], {"points": pts, "r": r}
 
 
 def digest() -> str:
