@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional
 
 from .field import MAX_DIGITS, Field
 from .convex import (
+    TooFewPointsError,
     box_presentation,
     caratheodory_indices,
     conv_hull,
@@ -98,9 +99,15 @@ def _int_arg(payload: Any, key: str, minimum: int) -> int:
 # ---------------------------------------------------------------------------
 # operation handlers: (field, payload) -> report dict
 
-def _op_hull(field: Field, payload: Any) -> Dict[str, Any]:
+def _nonempty_points(field: Field, payload: Any) -> list:
     pts = points_from_json(field, _need(payload, "points"))
-    return convex_to_json(conv_hull(pts, field=field))
+    if not pts:
+        raise TooFewPointsError("no points given")
+    return pts
+
+
+def _op_hull(field: Field, payload: Any) -> Dict[str, Any]:
+    return convex_to_json(conv_hull(_nonempty_points(field, payload)))
 
 
 def _op_member(field: Field, payload: Any) -> Dict[str, Any]:
@@ -138,10 +145,10 @@ def _op_radon(field: Field, payload: Any) -> Dict[str, Any]:
 
 
 def _op_caratheodory(field: Field, payload: Any) -> Dict[str, Any]:
-    pts = points_from_json(field, _need(payload, "points"))
+    pts = _nonempty_points(field, payload)
     idx = caratheodory_indices(pts)
     kept = [pts[i] for i in idx]
-    if not equals(conv_hull(kept, field=field), conv_hull(pts, field=field)):
+    if not equals(conv_hull(kept), conv_hull(pts)):
         raise ViolationError("reduced point set changed the hull")
     return {"indices": idx, "points": [vector_to_json(p) for p in kept]}
 

@@ -23,8 +23,7 @@ from .linalg import (
     ScaleSystem,
     Vector,
     _drop_step,
-    independent_indices,
-    orthogonalize,
+    _kept_basis,
     solve,
 )
 
@@ -46,16 +45,15 @@ def _groom_free(field: Field, v: Vector) -> Vector:
 class MixedModule:
     """K-span of the free generators plus O-span of the integral ones.
 
-    Construction drops zero generators, reduces each generator list to a
-    linearly independent one (preserving spans via the minimal-valuation
-    drop rule), and discards integral generators already inside the free
-    subspace, read off the free basis it builds once.  A normal form (that
-    free basis plus a valuation-orthogonal basis of the integral part
-    reduced modulo the free pivots) is completed lazily; membership and
-    line containment are read off it.
+    Construction builds the normal form, a valuation-orthogonal basis of the
+    free generators and one of the integral generators reduced modulo the
+    free pivots, by the elimination that also drops zero generators, those
+    the minimal-valuation drop rule finds dependent, and integral ones
+    inside the free subspace; spans are kept.  Membership and line
+    containment are read off the normal form.
     """
 
-    __slots__ = ("field", "dim", "free_gens", "integral_gens", "_free_basis", "_nf")
+    __slots__ = ("field", "dim", "free_gens", "integral_gens", "_free_basis", "_int_basis")
 
     def __init__(self, field: Field, dim: int,
                  free_gens: Sequence[Vector] = (),
@@ -68,35 +66,29 @@ class MixedModule:
         self.field = field
         self.dim = dim
         free = [_groom_free(field, v) for v in free_gens]
-        free = [free[i] for i in independent_indices(field, free)]
-        self.free_gens = tuple(free)
-        # with no free generators this keeps exactly the nonzero ones
-        self._free_basis = orthogonalize(free, field=field)
-        kept = [g for g in (v.groomed() for v in integral_gens)
-                if not self._free_basis._reduce(g)[1].is_zero]
-        self.integral_gens = tuple(kept[i] for i in independent_indices(field, kept))
-        self._nf = None
-
-    # cached presentations ---------------------------------------------------
+        kept, self._free_basis = _kept_basis(field, dim, free, free, range(dim))
+        self.free_gens = tuple(free[i] for i in kept)
+        gens, reduced = [], []
+        for g in (v.groomed() for v in integral_gens):
+            rest = self._free_basis._reduce(g)[1]
+            if not rest.is_zero:
+                gens.append(g)
+                reduced.append(rest)
+        kept, self._int_basis = _kept_basis(field, dim, gens, reduced, range(dim))
+        self.integral_gens = tuple(gens[i] for i in kept)
 
     def normal_form(self) -> Tuple[OrthoBasis, OrthoBasis]:
         """(free basis, orthogonal basis of the integral part reduced modulo
         the free pivots).  The two pivot sets are disjoint."""
-        if self._nf is None:
-            free_basis = self._free_basis
-            reduced = [free_basis._reduce(g)[1] for g in self.integral_gens]
-            self._nf = (free_basis, orthogonalize(reduced, field=self.field))
-        return self._nf
+        return self._free_basis, self._int_basis
 
     # membership -------------------------------------------------------------
 
     def member(self, x: Vector) -> bool:
-        """Membership decided through the cached normal form."""
+        """Membership decided through the normal form."""
         if x.dim != self.dim:
             raise DimensionError("point dimension mismatch")
-        free_basis, int_basis = self.normal_form()
-        _, rest = free_basis._reduce(x)
-        return int_basis.spans_integrally(rest)
+        return self._int_basis.spans_integrally(self._free_basis._reduce(x)[1])
 
     def contains_line(self, v: Vector) -> bool:
         """Whether the whole line K*v lies inside the module."""

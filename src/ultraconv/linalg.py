@@ -13,11 +13,11 @@ exact.  It provides:
   coefficient of least valuation in the first kernel vector), which keeps
   both the K-span and the O-span of a list of vectors; the Radon and
   Caratheodory reductions in ``convex`` take the same step,
-* ``orthogonalize``: a valuation-orthogonal basis of the O-span of a list of
-  vectors, built by valuation-pivoted elimination, with the drop rule run
-  first only when elimination shows the list dependent; valuations and
-  pivots are read on all coordinates or on a chosen subset, and the
-  weights gamma_i are ints, the valuations of the basis vectors,
+* ``orthogonalize``: a valuation-orthogonal basis of the O-span of a list
+  of vectors, with valuations and pivots read on all coordinates or on a
+  chosen subset and int weights gamma_i; it runs the drop rule only when
+  elimination shows the list dependent, and ``convex`` builds its modules'
+  kept generators and normal form by the same step,
 * ``ScaleSystem``: kernels and affine systems where a chosen subset of
   coordinates is constrained to the valuation ring O, with each part
   reduced when first asked for.
@@ -400,12 +400,8 @@ def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
     vectors.  The returned vectors are combinations of the inputs whose
     projections onto ``on`` form a valuation-orthogonal basis of the O-span
     of the projected inputs; pivots index the whole vectors and weights are
-    valuations of the projections.
-
-    Elimination keeps independent projections independent, so a projection
-    that vanishes during it shows the input dependent.  Only then are the
-    dependent vectors absorbed by ``independent_indices``, which keeps the
-    O-span exactly, and the survivors eliminated again.
+    valuations of the projections.  The drop rule runs on the projections
+    only when they are dependent (``_kept_basis``).
     """
     if field is None:
         if not vectors:
@@ -417,11 +413,23 @@ def orthogonalize(vectors: Sequence[Vector], field: Optional[Field] = None,
             raise DimensionError("vectors of unequal dimension")
     if on is None:
         on = range(dim)
-    basis = _eliminate(field, dim, [v._data for v in vectors], on)
-    if basis is None:
-        kept = independent_indices(field, [v.project(on) for v in vectors])
-        basis = _eliminate(field, dim, [vectors[i]._data for i in kept], on)
-    return basis
+    return _kept_basis(field, dim, [v.project(on) for v in vectors], vectors, on)[1]
+
+
+def _kept_basis(field: Field, dim: int, gens: Sequence[Vector], images: Sequence[Vector],
+                on: Sequence[int]) -> Tuple[List[int], OrthoBasis]:
+    """The indices of ``gens`` that ``independent_indices`` keeps, and a
+    valuation-orthogonal basis on ``on`` of the O-span of the kept
+    ``images``; one linear map takes each generator to its image's
+    projection.  Elimination keeps independent projections independent, so
+    the drop rule runs only once one vanishes, or at once when they outnumber
+    ``on``, and again on the kept images while they are dependent."""
+    basis = _eliminate(field, dim, [v._data for v in images], on) if len(images) <= len(on) else None
+    if basis is not None:
+        return list(range(len(images))), basis
+    kept = independent_indices(field, gens)
+    images = [images[i] for i in kept]
+    return kept, _kept_basis(field, dim, [v.project(on) for v in images], images, on)[1]
 
 
 def _eliminate(field: Field, dim: int, work: List[tuple], on: Sequence[int]) -> Optional[OrthoBasis]:

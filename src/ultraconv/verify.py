@@ -677,14 +677,41 @@ def prop_pierce_covers(res: PropertyResult, s: Sampler, field: Field, trials: in
                 break
 
 
+def _block_partitions(n: int, r: int):
+    """Unordered partitions of range(n) into r nonempty blocks, one per
+    restricted-growth string: a labelling that uses every label and meets
+    them first in the order 0, 1, ..., r-1."""
+    for labels in itertools.product(range(r), repeat=n):
+        if set(labels) == set(range(r)) and all(
+                labels.index(k) < labels.index(k + 1) for k in range(r - 1)):
+            yield [[i for i, b in enumerate(labels) if b == k] for k in range(r)]
+
+
+def _stirling2(n: int, r: int) -> int:
+    """S(n, r), the number of partitions of n points into r nonempty blocks."""
+    return sum((-1) ** k * math.comb(r, k) * (r - k) ** n for k in range(r + 1)) // math.factorial(r)
+
+
 def prop_tverberg_count_conjecture(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
-    """Experimental count check; shortfalls are reported as notes, never as
-    failures."""
+    """Each count lies between 1 (``tverberg_partition`` finds a partition
+    of these n = (d+1)(r-1)+1 points) and S(n, r), and for n <= 5 equals an
+    enumeration of the partitions, each folded by ``Family.intersection``.
+    Shortfalls below the conjectured floor are notes, never failures."""
     combos = [(d, r) for d in (1, 2) for r in (2, 3)]
     for t in range(trials):
         d, r = combos[t % len(combos)]
-        pts = s.points((d + 1) * (r - 1) + 1, d)
+        n = (d + 1) * (r - 1) + 1
+        pts = s.points(n, d)
         got = count_tverberg_partitions(pts, r)
+        if not 1 <= got <= _stirling2(n, r):
+            res.record(f"trial {t}: d={d}, r={r}: {got} partitions, outside 1..S({n}, {r})")
+        elif n <= 5:
+            want = sum(
+                not Family(field, d, [conv_hull([pts[i] for i in b]) for b in blocks])
+                .intersection().is_empty
+                for blocks in _block_partitions(n, r))
+            if got != want:
+                res.record(f"trial {t}: d={d}, r={r}: {got} partitions, enumeration finds {want}")
         bound = math.factorial(r - 1) ** d
         if got < bound:
             res.notes.append(

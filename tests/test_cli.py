@@ -252,6 +252,13 @@ def test_help_exits_cleanly():
     assert code == EXIT_OK
 
 
+def test_empty_point_list_exits_2_with_no_points_given(capsys):
+    for op in ("hull", "caratheodory", "radon", "selection"):
+        code, out = run([op, "--json"], '{"points": []}')
+        assert code == EXIT_USAGE and out == "", op
+        assert capsys.readouterr().err == "ultraconv: no points given\n", op
+
+
 def test_coefficient_denominator_divisible_by_characteristic_exits_2(capsys):
     payload = {"points": [["1/3*t"], ["1"], ["0"]]}
     code, out = run(["radon", "--field", "ratfunc:3", "--json"], json.dumps(payload))

@@ -21,7 +21,13 @@ exit code, stdout and stderr.  The calls are:
   ``--json`` on each of seven designed point sets with repeated and
   collinear points (``DEGENERATE``), on the four fields above: the
   dependencies there have zero coefficients and ties in the least
-  valuation, which general-position points rarely give.
+  valuation, which general-position points rarely give;
+* ``flag`` and ``box`` of each of six designed module payloads
+  (``MODULES``) in dimensions 2 and 3, ``member`` of three points in each,
+  and ``intersect`` of every ordered pair of them, on the same four
+  fields: generator lists with zero, repeated and proportional members,
+  integral generators dependent modulo the free span, and lists where
+  the drop rule keeps generators whose reductions are still dependent.
 
 A change that must keep every report byte-identical leaves the digest
 unchanged.  Run from the repository root:
@@ -40,6 +46,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +85,24 @@ DEGENERATE = tuple([[str(x) for x in p] for p in pts] for pts in (
      (1, 1, 0), (0, 0, 0)],
 ))
 
+# (free, integral) generator rows, padded with zeros or cut to the dimension
+MODULES = (
+    ([(1,)], [(0, 1), (1, 1)]),
+    ([(0,), (2,), (4,)], [(0, 2), (0, 4), (0,), (1, 6)]),
+    ([(0,)], [(0,), (0, 0)]),
+    ([], [(1, 1), (1, 1), (0, 2), (0, 2)]),
+    ([(1, 2), (1, 2)], [(1,), (2, 1), (0, 1)]),
+    ([], [(1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 1, 2)]),
+)
+
+
+def _module_sets(dim: int) -> list:
+    def row(xs):
+        return [str(x) for x in (list(xs) + [0] * dim)[:dim]]
+    return [{"translate": row([Fraction(k, 2), 0, 1]), "free": [row(v) for v in free],
+             "integral": [row(v) for v in integral]}
+            for k, (free, integral) in enumerate(MODULES)]
+
 
 def calls():
     """(argv, stdin text) of every report, in a fixed order."""
@@ -113,6 +138,18 @@ def calls():
             yield ["caratheodory", "--field", field, "--json"], {"points": pts}
             for r in (2, 3):
                 yield ["tverberg", "--field", field, "--json"], {"points": pts, "r": r}
+    for field, _ in VERIFY:
+        args = ["--field", field, "--json"]
+        for dim in (2, 3):
+            sets = _module_sets(dim)
+            for cset in sets:
+                yield ["flag", *args], {"set": cset}
+                yield ["box", *args], {"set": cset}
+                for point in (["0"] * dim, ["1/2"] * dim, ["1", "2", "4"][:dim]):
+                    yield ["member", *args], {"set": cset, "point": point}
+            for first in sets:
+                for second in sets:
+                    yield ["intersect", *args], {"first": first, "second": second}
 
 
 def digest() -> str:
