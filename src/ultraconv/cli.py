@@ -163,15 +163,15 @@ def _op_tverberg(field: Field, payload: Any) -> Dict[str, Any]:
 
 
 def _op_tvcount(field: Field, payload: Any) -> Dict[str, Any]:
-    pts = points_from_json(field, _need(payload, "points"))
+    pts = _nonempty_points(field, payload)
     r = _int_arg(payload, "r", 1)
-    d = pts[0].dim if pts else 0
+    d = pts[0].dim
     # the floor ((r-1)!)^d is printed whole, so it may have at most
     # MAX_DIGITS digits.  lgamma(r) = ln((r-1)!) refuses far longer floors
     # before any factorial is computed; capping r at MAX_DIGITS keeps it a
     # float and still refuses every larger r when d >= 1
     too_long = d * math.lgamma(min(r, MAX_DIGITS)) > (MAX_DIGITS + 1) * math.log(10)
-    bound = 0 if too_long or not pts else math.factorial(r - 1) ** d
+    bound = 0 if too_long else math.factorial(r - 1) ** d
     if too_long or bound >= 10 ** MAX_DIGITS:
         raise PayloadError(f"'r' is too large: the conjectured floor ((r-1)!)^{d} "
                            f"would have more than MAX_DIGITS = {MAX_DIGITS} digits")

@@ -200,8 +200,9 @@ def _zgcd(A, B):
     return A
 
 
-def _zdiv_exact(A, G):
-    """Quotient of integer polynomials when the division is exact."""
+def _zdiv(A, G):
+    """Quotient A / G of integer polynomials, or None when G does not
+    divide A."""
     dG = len(G) - 1
     lg = G[-1]
     R = list(A)
@@ -209,12 +210,70 @@ def _zdiv_exact(A, G):
     for k in range(len(A) - dG - 1, -1, -1):
         top = R[k + dG]
         if top:
-            q = top // lg
+            q, r = divmod(top, lg)
+            if r:
+                return None
             Q[k] = q
             for i in range(dG):
                 R[k + i] -= q * G[i]
             R[k + dG] = 0
+    if any(R[:dG]):
+        return None
     return _ptrim(Q)
+
+
+def _zgcd_heu(A, B):
+    """The gcd `_zgcd` returns, by the cheapest exact route.  A constant
+    input gives 1.  A linear input b1*t + b0 is, made primitive, the gcd
+    exactly when the other input vanishes at -b0/b1.  Otherwise GCDHEU
+    (Char, Geddes & Gonnet, J. Symbolic Comput. 1989): evaluate both
+    primitive parts at an integer xi, read the integer gcd's balanced
+    base-xi digits and keep their primitive part if it divides both.  For
+    xi >= 2*min(|A|, |B|) + 2 such a divisor is the gcd.  After six
+    points the pseudo-remainder sequence answers."""
+    if not A or not B:
+        return _zgcd(A, B)
+    if len(A) == 1 or len(B) == 1:
+        return [1]
+    if len(A) == 2:
+        A, B = B, A
+    if len(B) == 2:
+        # A(-b0/b1) * b1^deg(A), by a homogeneous Horner sum
+        b0, b1 = B
+        s, p = A[-1], 1
+        for a in reversed(A[:-1]):
+            p *= b1
+            s = s * -b0 + a * p
+        if s:
+            return [1]
+        g = math.gcd(b0, b1) if b1 > 0 else -math.gcd(b0, b1)
+        return [b0 // g, b1 // g]
+    A, B = _zprimitive(list(A)), _zprimitive(list(B))
+    na, nb = max(map(abs, A)), max(map(abs, B))
+    m = 2 * min(na, nb)
+    # sympy's dup_zz_heu_gcd start, raised to the bound m + 2 where it is below
+    xi = max(min(m + 29, 99 * math.isqrt(m + 29)),
+             2 * min(na // abs(A[-1]), nb // abs(B[-1])) + 4, m + 2)
+    for _ in range(6):
+        u = v = 0
+        for c in reversed(A):
+            u = u * xi + c
+        for c in reversed(B):
+            v = v * xi + c
+        if u and v:
+            h, G = math.gcd(u, v), []
+            while h:
+                d = h % xi
+                if d > xi // 2:
+                    d -= xi
+                G.append(d)
+                h = (h - d) // xi
+            # h > 0, so its top digit is too
+            G = _zprimitive(G)
+            if len(G) == 1 or _zdiv(A, G) is not None and _zdiv(B, G) is not None:
+                return G
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return _zgcd(A, B)
 
 
 class _IntegerCoeffs:
@@ -227,8 +286,8 @@ class _IntegerCoeffs:
     def reduce(self, cs) -> tuple:
         return _ptrim(cs)
 
-    gcd = staticmethod(_zgcd)
-    div_exact = staticmethod(_zdiv_exact)
+    gcd = staticmethod(_zgcd_heu)
+    div_exact = staticmethod(_zdiv)
 
     def normal(self, num, den):
         g = math.gcd(*num, *den)

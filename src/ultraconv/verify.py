@@ -781,6 +781,10 @@ def run_suite(name: str, field: Field, seed: int, trials: int) -> List[PropertyR
     for prop in SUITES[name]:
         res = PropertyResult(prop.__name__[len("prop_"):], trials)
         derived = (seed * 1000003 + zlib.crc32(res.name.encode())) & _MASK64
-        prop(res, Sampler(field, derived), field, trials)
+        try:
+            prop(res, Sampler(field, derived), field, trials)
+        except Exception as exc:
+            # a library invariant that breaks fails this property, not the suite
+            res.record(f"raised {type(exc).__name__}: {exc}")
         results.append(res)
     return results

@@ -253,8 +253,8 @@ def test_help_exits_cleanly():
 
 
 def test_empty_point_list_exits_2_with_no_points_given(capsys):
-    for op in ("hull", "caratheodory", "radon", "selection"):
-        code, out = run([op, "--json"], '{"points": []}')
+    for op in ("hull", "caratheodory", "radon", "selection", "tverberg", "tvcount"):
+        code, out = run([op, "--json"], '{"points": [], "r": 2}')
         assert code == EXIT_USAGE and out == "", op
         assert capsys.readouterr().err == "ultraconv: no points given\n", op
 

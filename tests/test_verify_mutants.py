@@ -1,20 +1,47 @@
 """``verify`` must fail when a search returns a wrong answer.
 
-Each mutant replaces a name that ``verify`` imports with a wrong version;
-the suite that checks it must then record at least one failure, while the
-unmutated suite records none.
+Each mutant replaces names that ``verify`` or the library imports with a
+wrong version; the suite that checks it must then record at least one
+failure, while the unmutated suite records none.  A mutant that breaks a
+library invariant makes a property raise, and ``verify`` must report that
+property as failed and exit 1, with no traceback.
 """
+
+import io
+import json
 
 import pytest
 
-from ultraconv import verify
+from ultraconv import cli, combinatorics, convex, linalg, verify
 from ultraconv.field import Field
 
 count = verify.count_tverberg_partitions
+meets = convex.meets
+drop_step = linalg._drop_step
 
+
+def drop_largest_valuation(field, cols, nrows):
+    """The drop rule with the wrong choice: the coefficient of largest
+    valuation, so the dropped column need not be an O-combination of the
+    others."""
+    step = drop_step(field, cols, nrows)
+    if step is None:
+        return None
+    vals = list(map(field.ops.val, step[0]._data))
+    return step[0], max(range(len(vals)), key=vals.__getitem__)
+
+
+# name -> (suite, [(module, attribute, wrong value)])
 MUTANTS = {
-    "tverberg count doubled": ("count_tverberg_partitions", lambda pts, r: 2 * count(pts, r)),
-    "tverberg count fixed at 10^6": ("count_tverberg_partitions", lambda pts, r: 10 ** 6),
+    "tverberg count doubled": (
+        "combinatorics", [(verify, "count_tverberg_partitions", lambda pts, r: 2 * count(pts, r))]),
+    "tverberg count fixed at 10^6": (
+        "combinatorics", [(verify, "count_tverberg_partitions", lambda pts, r: 10 ** 6)]),
+    "meets ignores its last set": (
+        "combinatorics", [(combinatorics, "meets", lambda *sets: meets(*sets[:-1]))]),
+    "drop rule takes the largest valuation": (
+        "all", [(linalg, "_drop_step", drop_largest_valuation),
+                (convex, "_drop_step", drop_largest_valuation)]),
 }
 
 
@@ -28,6 +55,21 @@ def test_unmutated_combinatorics_suite_passes():
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant_makes_the_suite_fail(name, monkeypatch):
-    target, wrong = MUTANTS[name]
-    monkeypatch.setattr(verify, target, wrong)
-    assert failures("combinatorics"), name
+    suite, patches = MUTANTS[name]
+    for module, attr, wrong in patches:
+        monkeypatch.setattr(module, attr, wrong)
+    out = io.StringIO()
+    code = cli.main(["verify", "--suite", suite, "--trials", "6", "--json"], stdout=out)
+    report = json.loads(out.getvalue())
+    assert code == cli.EXIT_VIOLATION and not report["ok"], name
+    assert any(r["failures"] for r in report["results"]), name
+
+
+def test_a_property_that_raises_is_reported_and_the_suite_goes_on(monkeypatch):
+    def broken(res, s, field, trials):
+        raise AssertionError("invariant violated")
+
+    monkeypatch.setitem(verify.SUITES, "field", [broken] + verify.SUITES["field"])
+    results = verify.run_suite("field", Field.padic(2), 0, 6)
+    assert results[0].failures == ["raised AssertionError: invariant violated"]
+    assert len(results) == len(verify.SUITES["field"]) and all(r.ok for r in results[1:])
