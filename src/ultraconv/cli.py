@@ -4,13 +4,15 @@ One operation per invocation: geometry arrives as a JSON payload on
 stdin, the report leaves as JSON on stdout.  Reports are deterministic
 for a fixed field, seed, and payload: keys are sorted and generator
 lists are rendered in sorted order.  Exit status: 0 for success, 1 when
-an asserted property fails to hold, 2 for usage or parse errors.
+an asserted property fails to hold, 2 for usage or parse errors, 3 when
+the report cannot be written or an unexpected error stops the command.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -61,6 +63,7 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+_EXIT_UNEXPECTED = 3
 
 WITNESS_NAMES = ("helly", "breadth", "frachelly", "counterexample")
 
@@ -124,16 +127,11 @@ def _op_intersect(field: Field, payload: Any) -> Dict[str, Any]:
 
 def _op_flag(field: Field, payload: Any) -> Dict[str, Any]:
     cset = convex_from_json(field, _need(payload, "set"))
-    if cset.is_empty:
-        raise PayloadError("the empty set has no flag decomposition")
     return flag_to_json(cset.translate, flag_decompose(cset))
 
 
 def _op_box(field: Field, payload: Any) -> Dict[str, Any]:
-    cset = convex_from_json(field, _need(payload, "set"))
-    if cset.is_empty:
-        raise PayloadError("the empty set has no box presentation")
-    return box_to_json(box_presentation(cset))
+    return box_to_json(box_presentation(convex_from_json(field, _need(payload, "set"))))
 
 
 def _op_radon(field: Field, payload: Any) -> Dict[str, Any]:
@@ -270,7 +268,7 @@ def _run_witness(field: Field, args) -> Dict[str, Any]:
 def _run_verify(field: Field, args) -> Dict[str, Any]:
     from .verify import run_suite
     results = run_suite(args.suite, field, args.seed, args.trials)
-    report = {
+    return {
         "suite": args.suite,
         "field": field.selector,
         "seed": args.seed,
@@ -287,7 +285,6 @@ def _run_verify(field: Field, args) -> Dict[str, Any]:
             for r in results
         ],
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +373,22 @@ def main(argv: Optional[List[str]] = None, stdin=None, stdout=None) -> int:
     except ValueError as exc:
         print(f"ultraconv: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"ultraconv: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_UNEXPECTED
 
-    _emit(report, args.json, stdout)
+    try:
+        _emit(report, args.json, stdout)
+        stdout.flush()
+    except BrokenPipeError:
+        if stdout is sys.__stdout__:
+            # the reader has gone; the interpreter's flush at exit writes to
+            # the null device instead of raising again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stdout.fileno())
+            os.close(null)
+        print("ultraconv: stdout was closed before the report was written", file=sys.stderr)
+        return _EXIT_UNEXPECTED
     if args.command == "verify" and not report["ok"]:
         return EXIT_VIOLATION
     return EXIT_OK

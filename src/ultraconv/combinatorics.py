@@ -15,7 +15,8 @@ block is decided by ``meets``, which builds no intersection.  Hulls are
 cached by index bitmask within one call.
 
 Fractional Helly statistics and piercing candidates share one walk over the
-nerve of a family: the index sets whose members share a point.
+nerve of a family (the index sets whose members share a point), which
+returns the nerve's maximal faces.
 """
 from __future__ import annotations
 
@@ -219,7 +220,8 @@ def validate_tverberg(points: Sequence[Vector], part: TverbergPartition, r: int)
 
 def count_tverberg_partitions(points: Sequence[Vector], r: int) -> int:
     """Number of unordered partitions of the point list into r nonempty
-    blocks whose hulls share a point.  Exhaustive; capped at 12 points.
+    blocks whose hulls share a point; one block (r = 1) is always a
+    partition.  Exhaustive; capped at 12 points.
 
     Blocks are chosen one at a time: each takes the least unassigned index
     plus a subset of the other unassigned ones, leaving at least one index
@@ -266,8 +268,7 @@ def count_tverberg_partitions(points: Sequence[Vector], r: int) -> int:
                 return found
             sub = (sub - 1) & others
 
-    everything = (1 << n) - 1
-    return int(meets(hull(everything))) if r == 1 else count((), everything, r)
+    return 1 if r == 1 else count((), (1 << n) - 1, r)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +360,23 @@ def hyperplane_family(field: Field, d: int, n: int) -> Family:
 # fractional statistics and piercing
 
 def _intersecting_leaves(fam: Family, start: Optional[ConvexSet]
-                         ) -> List[Tuple[Tuple[int, ...], ConvexSet]]:
-    """The leaves of the nerve walk, in depth-first order: each index set
-    with a common point that no later member meets, with its intersection.
-    Every maximal intersecting set is a leaf, so every intersecting set lies
-    inside one.  The walk goes over increasing indices with a running
-    intersection from ``start`` (None: the first chosen member), cutting
-    empty prefixes.  A child whose extension by every later index still has
-    a common point ends the walk over its later siblings: their leaves are
-    subsets of that extension, itself a leaf."""
+                         ) -> List[Tuple[Tuple[int, ...], ConvexSet, int]]:
+    """The maximal faces of the nerve, in depth-first order, each with its
+    intersection and its index bitmask.
+
+    The walk goes over increasing indices with a running intersection from
+    ``start`` (None: the first chosen member), cutting empty prefixes.  Its
+    leaves are the index sets with a common point that no later member
+    meets.  A child whose extension by every later index still has a
+    common point ends the walk over its later siblings: their leaves are
+    subsets of that extension, itself a leaf.  Every maximal face is a
+    leaf, and depth-first order is lexicographic, so a maximal face comes
+    before every leaf inside it: at the first place where the two differ,
+    the face holds the smaller index.  A leaf is therefore kept exactly
+    when no leaf kept before it holds its bitmask."""
     members = fam.members
     n = len(members)
-    leaves: List[Tuple[Tuple[int, ...], ConvexSet]] = []
+    faces: List[Tuple[Tuple[int, ...], ConvexSet, int]] = []
 
     def walk(lo: int, chosen: Tuple[int, ...], cur: Optional[ConvexSet]) -> bool:
         # whether chosen together with every index from lo on has a common point
@@ -383,20 +389,22 @@ def _intersecting_leaves(fam: Family, start: Optional[ConvexSet]
             if walk(j + 1, chosen + (j,), nxt):
                 return j == lo
         if not extendable and chosen:
-            leaves.append((chosen, cur))
+            mask = sum(1 << i for i in chosen)
+            if not any(mask & m == mask for _, _, m in faces):
+                faces.append((chosen, cur, mask))
         return lo == n
 
     walk(0, (), start)
-    return leaves
+    return faces
 
 
 def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
     """(alpha, beta): the exact fraction of k-index-subfamilies with a
     common point (the nerve's k-faces over C(n, k)), and the largest
-    fraction of members sharing one point.  Every face lies inside a leaf
-    of ``_intersecting_leaves`` that lies inside no other leaf, so alpha
-    counts each k-subset of those leaves once, at the first leaf that holds
-    it, and beta is the longest leaf over n.  Capped at 20 members.
+    fraction of members sharing one point.  Every k-face lies inside a
+    maximal face from ``_intersecting_leaves``, so alpha counts each
+    k-subset of those faces once, at the first face that holds it, and
+    beta is the longest face over n.  Capped at 20 members.
     """
     n = len(fam)
     if n > 20:
@@ -405,34 +413,27 @@ def fractional_helly_stats(fam: Family, k: int) -> Tuple[Fraction, Fraction]:
         raise ValueError("empty family has no statistics")
     if k < 1:
         raise ValueError("subfamily size must be at least 1")
-    leaves = [chosen for chosen, _ in _intersecting_leaves(fam, None)]
-    masks = [sum(1 << i for i in chosen) for chosen in leaves]
-    kept = [(c, m) for c, m in zip(leaves, masks)
-            if not any(m != o and m & o == m for o in masks)]
-    faces = math.comb(len(kept[0][0]), k) if kept else 0
-    for i in range(1, len(kept)):
-        earlier = [m for _, m in kept[:i]]
-        # each k-subset of the leaf as an index bitmask, unless an earlier
-        # kept leaf holds it
-        for face in map(sum, itertools.combinations([1 << j for j in kept[i][0]], k)):
-            if not any(face & m == face for m in earlier):
-                faces += 1
+    faces = _intersecting_leaves(fam, None)
+    count = math.comb(len(faces[0][0]), k) if faces else 0
+    for i in range(1, len(faces)):
+        earlier = [m for _, _, m in faces[:i]]
+        # each k-subset of the face as an index bitmask, unless an earlier
+        # face holds it
+        for sub in map(sum, itertools.combinations([1 << j for j in faces[i][0]], k)):
+            if not any(sub & m == sub for m in earlier):
+                count += 1
     total = math.comb(n, k)
-    alpha = Fraction(1) if total == 0 else Fraction(faces, total)
-    beta = Fraction(max(map(len, leaves), default=0), n)
+    alpha = Fraction(1) if total == 0 else Fraction(count, total)
+    beta = Fraction(max((len(c) for c, _, _ in faces), default=0), n)
     return alpha, beta
 
 
 def _maximal_intersecting_subfamilies(fam: Family) -> List[Tuple[Tuple[int, ...], Vector]]:
     """All inclusion-maximal index sets with nonempty intersection, each
-    with one point of that intersection: the leaves that no earlier absent
-    member meets either, so the point lies in no other member."""
-    members = fam.members
-    return [
-        (chosen, cur.a_point())
-        for chosen, cur in _intersecting_leaves(fam, fam.full_space())
-        if not any(j not in chosen and meets(cur, members[j]) for j in range(chosen[-1]))
-    ]
+    with one point of that intersection: the nerve's maximal faces, walked
+    from the whole space, so the point lies in no other member."""
+    return [(chosen, cur.a_point())
+            for chosen, cur, _ in _intersecting_leaves(fam, fam.full_space())]
 
 
 def pierce(fam: Family) -> List[Vector]:

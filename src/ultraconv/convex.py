@@ -244,16 +244,12 @@ def validate_radon(points: Sequence[Vector], cert: RadonCertificate) -> bool:
     field = points[0].field
     if any(not c.is_integral for c in cert.coefficients):
         return False
-    total = field.zero
-    for c in cert.coefficients:
-        total = total + c
-    if total != field.one:
+    if sum(cert.coefficients, field.zero) != field.one:
         return False
-    acc = Vector.zero(field, points[0].dim)
     others = [p for j, p in enumerate(points) if j != cert.index]
-    for c, p in zip(cert.coefficients, others):
-        acc = acc + p.scale(c)
-    return acc == points[cert.index]
+    combo = Matrix.from_cols(field, others, points[0].dim).mul_vec(
+        Vector(field, cert.coefficients))
+    return combo == points[cert.index]
 
 
 def caratheodory_indices(points: Sequence[Vector]) -> List[int]:
@@ -454,7 +450,7 @@ class FlagForm:
 def flag_decompose(c: ConvexSet) -> FlagForm:
     """Flag presentation of the module part of a nonempty convex set."""
     if c.is_empty:
-        raise ValueError("the empty set has no flag presentation")
+        raise ValueError("the empty set has no flag decomposition")
     field = c.field
     free_basis, int_basis = c.module.normal_form()
     entries: List[Tuple[Vector, Union[str, int]]] = []

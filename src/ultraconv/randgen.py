@@ -15,7 +15,7 @@ import random
 from typing import List, Sequence, Tuple
 
 from .field import Field, FieldElement
-from .linalg import Vector
+from .linalg import Matrix, Vector
 from .convex import ConvexSet, MixedModule
 
 _MASK64 = (1 << 64) - 1
@@ -91,11 +91,6 @@ class Sampler:
         integral = [self.vector(d, nonzero=True) for _ in range(n_int)]
         return MixedModule(self.field, d, free, integral)
 
-    def fg_module(self, d: int) -> MixedModule:
-        """A finitely generated module: integral generators only."""
-        n = self.rng.randint(1, d + 2)
-        return MixedModule(self.field, d, (), [self.vector(d, nonzero=True) for _ in range(n)])
-
     def convex_set(self, d: int) -> ConvexSet:
         module = self.module(d, max_free=1)
         return ConvexSet.of(self.vector(d), module)
@@ -103,12 +98,10 @@ class Sampler:
     def module_point(self, module: MixedModule) -> Vector:
         """A random element of the module: any combination of the free
         generators plus an integral combination of the integral ones."""
-        acc = Vector.zero(self.field, module.dim)
-        for g in module.free_gens:
-            acc = acc + g.scale(self.element())
-        for g in module.integral_gens:
-            acc = acc + g.scale(self.integral_element())
-        return acc
+        gens = module.free_gens + module.integral_gens
+        coeffs = ([self.element() for _ in module.free_gens]
+                  + [self.integral_element() for _ in module.integral_gens])
+        return Matrix.from_cols(self.field, gens, module.dim).mul_vec(Vector(self.field, coeffs))
 
     def hull_point(self, points: Sequence[Vector]) -> Vector:
         """A random 3-term integral combination of the given points with
@@ -117,34 +110,29 @@ class Sampler:
         a = self.integral_element()
         b = self.integral_element()
         c = self.field.one - a - b
-        coeffs = [a, b, c]
-        acc = Vector.zero(self.field, points[0].dim)
-        for coeff, i in zip(coeffs, picks):
-            acc = acc + points[i].scale(coeff)
-        return acc
+        return Matrix.from_cols(self.field, [points[i] for i in picks]).mul_vec(
+            Vector(self.field, [a, b, c]))
+
+    def _unimodular(self, k: int, diagonal, entry, zero) -> list:
+        """lo * hi with columns permuted: lo unit lower triangular, hi unit
+        upper triangular, both drawn together row by row."""
+        lo = [[zero] * k for _ in range(k)]
+        hi = [[zero] * k for _ in range(k)]
+        for i in range(k):
+            lo[i][i] = diagonal()
+            hi[i][i] = diagonal()
+            for j in range(i):
+                lo[i][j] = entry()
+                hi[j][i] = entry()
+        perm = list(range(k))
+        self.rng.shuffle(perm)
+        return [[sum((lo[i][m] * hi[m][perm[j]] for m in range(k)), zero) for j in range(k)]
+                for i in range(k)]
 
     def unimodular_matrix(self, k: int) -> List[List[FieldElement]]:
         """A k x k matrix invertible over the valuation ring: a product of
         unit-diagonal triangular matrices and a permutation."""
-        f = self.field
-        lo = [[f.zero] * k for _ in range(k)]
-        hi = [[f.zero] * k for _ in range(k)]
-        for i in range(k):
-            lo[i][i] = self.unit()
-            hi[i][i] = self.unit()
-            for j in range(i):
-                lo[i][j] = self.integral_element()
-                hi[j][i] = self.integral_element()
-        perm = list(range(k))
-        self.rng.shuffle(perm)
-        out = [[f.zero] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                acc = f.zero
-                for m in range(k):
-                    acc = acc + lo[i][m] * hi[m][perm[j]]
-                out[i][j] = acc
-        return out
+        return self._unimodular(k, self.unit, self.integral_element, self.field.zero)
 
     def unimodular_int_matrix(self, k: int) -> List[List[FieldElement]]:
         """Ring-invertible matrix with small integer entries.
@@ -153,23 +141,9 @@ class Sampler:
         the entries carry no uniformizer content, so re-presented
         generators keep their payload size over every backend.
         """
-        f = self.field
-        lo = [[0] * k for _ in range(k)]
-        hi = [[0] * k for _ in range(k)]
-        for i in range(k):
-            lo[i][i] = self.rng.choice((-1, 1))
-            hi[i][i] = self.rng.choice((-1, 1))
-            for j in range(i):
-                lo[i][j] = self.rng.randint(-2, 2)
-                hi[j][i] = self.rng.randint(-2, 2)
-        perm = list(range(k))
-        self.rng.shuffle(perm)
-        out = [[f.zero] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                out[i][j] = f.from_int(
-                    sum(lo[i][m] * hi[m][perm[j]] for m in range(k)))
-        return out
+        ints = self._unimodular(k, lambda: self.rng.choice((-1, 1)),
+                                lambda: self.rng.randint(-2, 2), 0)
+        return [[self.field.from_int(x) for x in row] for row in ints]
 
     def common_point_family(self, n: int, d: int) -> Tuple["Family", Vector]:
         """A family sharing a hidden common point, with varied translates."""

@@ -81,9 +81,9 @@ class PropertyResult:
             self.failures.append("... more failures suppressed")
 
 
-def _dims(trials: int, lo: int = 1, hi: int = 4):
+def _dims(trials: int, hi: int = 4):
     for t in range(trials):
-        yield t, lo + t % (hi - lo + 1)
+        yield t, 1 + t % hi
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +148,22 @@ def prop_solve_exactness(res: PropertyResult, s: Sampler, field: Field, trials: 
 def prop_ortho_valuation_identity(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """val of a combination equals min over val(c_i) + gamma_i."""
     for t, d in _dims(trials):
-        module = s.fg_module(d)
+        module = s.module(d)
         basis = orthogonalize(list(module.integral_gens), field=field)
         if len(basis) == 0:
             continue
+        B = Matrix.from_cols(field, basis.vectors, d)
         for _ in range(200):
             cs = [s.element() for _ in basis.vectors]
-            acc = Vector.zero(field, d)
-            for c, u in zip(cs, basis.vectors):
-                acc = acc + u.scale(c)
-            expect = INFINITY
-            for c, g in zip(cs, basis.gammas):
-                cand = c.val() + g
-                if cand < expect:
-                    expect = cand
-            if acc.val() != expect:
+            expect = min(c.val() + g for c, g in zip(cs, basis.gammas))
+            if B.mul_vec(Vector(field, cs)).val() != expect:
                 res.record(f"trial {t}: valuation identity fails")
                 break
 
 
 def prop_ortho_gammas_sorted(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     for t, d in _dims(trials):
-        module = s.fg_module(d)
+        module = s.module(d)
         basis = orthogonalize(list(module.integral_gens), field=field)
         if list(basis.gammas) != sorted(basis.gammas):
             res.record(f"trial {t}: gammas not nondecreasing: {basis.gammas}")
@@ -206,13 +200,8 @@ def prop_gamma_multiset_invariance(res: PropertyResult, s: Sampler, field: Field
             res.record(f"trial {t}: permutation changes the weights")
         k = len(gens)
         U = s.unimodular_int_matrix(k)
-        regens = []
-        for j in range(k):
-            acc = Vector.zero(field, d)
-            for i in range(k):
-                if not U[i][j].is_zero:
-                    acc = acc + gens[i].scale(U[i][j])
-            regens.append(acc)
+        G = Matrix.from_cols(field, gens)
+        regens = [G.mul_vec(Vector(field, [U[i][j] for i in range(k)])) for j in range(k)]
         if orthogonalize(regens, field=field).gamma_multiset() != base:
             res.record(f"trial {t}: ring-invertible re-presentation changes the weights")
 
@@ -230,20 +219,14 @@ def prop_constrained_kernel_sound(res: PropertyResult, s: Sampler, field: Field,
         scales = _random_scales(s, n)
         system = ScaleSystem(G, scales)
         free, integral = system.free_part, system.integral_part
+        B = Matrix.from_cols(field, free + integral, n)
         for _ in range(10):
-            acc = Vector.zero(field, n)
-            for v in free:
-                acc = acc + v.scale(s.element())
-            for v in integral:
-                acc = acc + v.scale(s.integral_element())
+            acc = B.mul_vec(Vector(field, [s.element() for _ in free]
+                                   + [s.integral_element() for _ in integral]))
             if not G.mul_vec(acc).is_zero:
                 res.record(f"trial {t}: combination leaves the kernel")
                 break
-            bad = False
-            for i, sc in enumerate(scales):
-                if sc == INTEGRAL and not acc[i].is_integral:
-                    bad = True
-            if bad:
+            if any(sc == INTEGRAL and not acc[i].is_integral for i, sc in enumerate(scales)):
                 res.record(f"trial {t}: combination violates an integral scale")
                 break
 
@@ -262,10 +245,10 @@ def prop_constrained_kernel_complete(res: PropertyResult, s: Sampler, field: Fie
         cols = free + integral
         sys_out = ScaleSystem(Matrix.from_cols(field, cols, nrows=n),
                               [FREE] * len(free) + [INTEGRAL] * len(integral))
+        K = Matrix.from_cols(field, kernel)
         for _ in range(10):
-            z = Vector.zero(field, n)
-            for b in kernel:
-                z = z + b.scale(s.integral_element() if s.rng.random() < 0.7 else s.element())
+            z = K.mul_vec(Vector(field, [s.integral_element() if s.rng.random() < 0.7
+                                         else s.element() for _ in kernel]))
             if any(sc == INTEGRAL and not z[i].is_integral for i, sc in enumerate(scales)):
                 continue
             if z.is_zero:
@@ -317,11 +300,7 @@ def prop_hull_minimality(res: PropertyResult, s: Sampler, field: Field, trials: 
         pts = s.points(s.rng.randint(1, d + 3), d)
         hull = conv_hull(pts)
         center = pts[s.rng.randrange(len(pts))] + s.vector(d)
-        radius = INFINITY
-        for p in pts:
-            v = (p - center).val()
-            if v < radius:
-                radius = v
+        radius = min((p - center).val() for p in pts)
         ball = quasi_ball(center, FULL if radius == INFINITY else radius)
         if not subset(hull, ball):
             res.record(f"trial {t}: hull escapes an enclosing ball")
@@ -424,19 +403,13 @@ def prop_min_gamma_is_min_valuation(res: PropertyResult, s: Sampler, field: Fiel
     """Without full lines the least weight is the least valuation attained;
     with a full line valuations are unbounded below."""
     for t, d in _dims(trials):
-        module = s.fg_module(d)
+        module = s.module(d)
         _, basis = module.normal_form()
         if len(basis) == 0:
             continue
         least = min(basis.gammas)
-        seen = basis.vectors[0].val()
-        for g in module.integral_gens:
-            if g.val() < seen:
-                seen = g.val()
-        for _ in range(30):
-            v = s.module_point(module).val()
-            if v < seen:
-                seen = v
+        seen = min([basis.vectors[0].val()] + [g.val() for g in module.integral_gens]
+                   + [s.module_point(module).val() for _ in range(30)])
         if seen != least:
             res.record(f"trial {t}: least weight {least} vs sampled minimum {seen}")
         # now adjoin a full line and witness unbounded valuations
@@ -454,7 +427,7 @@ def prop_largest_inner_ball(res: PropertyResult, s: Sampler, field: Field, trial
     """For a full-rank integral module the largest quasi-ball inside it has
     radius equal to the last weight."""
     for t, d in _dims(trials, hi=3):
-        module = s.fg_module(d)
+        module = s.module(d)
         _, basis = module.normal_form()
         if len(basis) != d:
             continue
@@ -472,10 +445,7 @@ def two_term_counterexample() -> Tuple[List[Vector], List[FieldElement], Vector]
     f = Field.padic(2)
     pts = [Vector.from_ints(f, row) for row in ([0, 0, 0], [1, 0, 0], [0, 1, 1])]
     weights = [f.from_int(-1), f.one, f.one]
-    combo = Vector.zero(f, 3)
-    for w, p in zip(weights, pts):
-        combo = combo + p.scale(w)
-    return pts, weights, combo
+    return pts, weights, Matrix.from_cols(f, pts).mul_vec(Vector(f, weights))
 
 
 def check_two_term_counterexample() -> bool:
@@ -493,10 +463,7 @@ def check_two_term_counterexample() -> bool:
         return False
     if not all(w.is_integral for w in weights):
         return False
-    total = f.zero
-    for w in weights:
-        total = total + w
-    if total != f.one:
+    if sum(weights, f.zero) != f.one:
         return False
     if combo != Vector.from_ints(f, [1, 1, 1]):
         return False

@@ -108,7 +108,7 @@ def test_criterion_04_flag_decomposition_200_modules():
     field = PADIC2
     for i in range(200):
         d = 1 + (i % 4)
-        mod = s.fg_module(d)
+        mod = s.module(d)
         cs = ConvexSet.of(Vector.zero(field, d), mod)
         flag = flag_decompose(cs)
         _, basis = mod.normal_form()

@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import ultraconv
+from ultraconv import cli, combinatorics
 from ultraconv.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -397,3 +399,64 @@ def test_cli_import_leaves_verify_and_sampler_unloaded():
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["[]", "ultraconv.verify ultraconv.verify ultraconv.randgen"]
+
+
+def test_flag_and_box_of_the_empty_set_exit_2(capsys):
+    payload = json.dumps({"set": {"empty": True, "dim": 2}})
+    for op, message in (("flag", "the empty set has no flag decomposition"),
+                        ("box", "the empty set has no box presentation")):
+        code, out = run([op, "--json"], payload)
+        assert code == EXIT_USAGE and out == "", op
+        assert capsys.readouterr().err == f"ultraconv: {message}\n", op
+
+
+def test_tvcount_with_one_block_counts_one_without_hulls(monkeypatch):
+    def refuse(points):
+        raise AssertionError("hull built for r = 1")
+
+    monkeypatch.setattr(combinatorics, "conv_hull", refuse)
+    pts = [["0", "1"], ["1/2", "3"], ["0", "1"], ["4", "0"]]
+    code, report = run_json(["tvcount", "--json"], {"points": pts, "r": 1})
+    assert code == EXIT_OK
+    assert report == {"count": 1, "conjecturedFloor": 1, "meetsFloor": True}
+
+
+def test_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(fam):
+        raise AssertionError("some member is not covered by any candidate point")
+
+    monkeypatch.setattr(cli, "pierce", broken)
+    fam = [{"translate": ["0"], "free": [], "integral": [["1"]]}]
+    code, out = run(["pierce", "--json"], json.dumps({"family": fam}))
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        "ultraconv: unexpected AssertionError: "
+        "some member is not covered by any candidate point\n")
+
+
+def test_report_to_a_closed_stream_exits_3(capsys):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    code = main(["witness", "counterexample", "--json"], stdout=Closed())
+    assert code == 3
+    assert capsys.readouterr().err == "ultraconv: stdout was closed before the report was written\n"
+
+
+def test_closed_pipe_exits_3_without_traceback():
+    """The reader has gone before the child writes: one stderr line, exit 3,
+    and a quiet interpreter exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(ultraconv.__file__).resolve().parent.parent)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultraconv.cli", "witness", "helly", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "ultraconv: stdout was closed before the report was written\n"

@@ -5,7 +5,8 @@ the folded ``intersect``, alpha against the per-combination fold,
 ``breadth_reduce`` against the per-combination ``equals`` scan, the
 piercing candidates' coverage against a membership scan, and the one nerve
 walk behind alpha, beta and the piercing candidates against the three
-depth-first searches it replaced."""
+depth-first searches it replaced and against a scan of all subfamilies for
+the maximal faces."""
 
 import itertools
 import math
@@ -31,6 +32,7 @@ from ultraconv.combinatorics import (
     Family,
     breadth_reduce,
     count_tverberg_partitions,
+    _intersecting_leaves,
     _maximal_intersecting_subfamilies,
     fractional_helly_stats,
     hyperplane_family,
@@ -427,3 +429,54 @@ def test_fractional_helly_counts_the_faces_of_a_leaf_without_storing_them():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def oracle_maximal_faces(fam):
+    """The inclusion-maximal index sets with a common point, in
+    lexicographic order, from a scan of every subfamily."""
+    n = len(fam)
+    meeting = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)
+               if not fam.intersection(c).is_empty]
+    return sorted(c for c in meeting if not any(set(c) < set(o) for o in meeting))
+
+
+def oracle_pierce(fam):
+    """Greedy cover over the old search's candidates, as ``pierce`` does."""
+    coverage = [(pt, frozenset(c)) for c, pt in oracle_maximal_subfamilies(fam)]
+    chosen, uncovered = [], set(range(len(fam)))
+    while uncovered:
+        pt, cov = max(coverage, key=lambda c: len(c[1] & uncovered))
+        chosen.append(pt)
+        uncovered -= cov
+    return chosen
+
+
+@pytest.mark.parametrize("sel", FIELDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_nerve_walk_returns_exactly_the_maximal_faces(sel, d):
+    f = Field.from_selector(sel)
+    fams = designed_families(f, d) + list(joined_families(f, d, 60 + d, 8))
+    for fam in fams:
+        assert len(fam) <= 8
+        expect = oracle_maximal_faces(fam)
+        for start in (None, fam.full_space()):
+            faces = _intersecting_leaves(fam, start)
+            assert [c for c, _, _ in faces] == expect
+            for chosen, cur, mask in faces:
+                assert mask == sum(1 << i for i in chosen)
+                assert equals(cur, fam.intersection(chosen))
+            masks = [m for _, _, m in faces]
+            assert not any(a != b and a & b == a for a in masks for b in masks)
+
+
+@pytest.mark.parametrize("sel", FIELDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_pierce_builds_no_meets(sel, d, monkeypatch):
+    def refuse(*sets):
+        raise AssertionError("pierce called meets")
+
+    f = Field.from_selector(sel)
+    fams = designed_families(f, d) + list(joined_families(f, d, 40 + d, 6))
+    expect = [oracle_pierce(fam) for fam in fams]
+    monkeypatch.setattr(combinatorics, "meets", refuse)
+    assert [pierce(fam) for fam in fams] == expect

@@ -27,7 +27,14 @@ exit code, stdout and stderr.  The calls are:
   and ``intersect`` of every ordered pair of them, on the same four
   fields: generator lists with zero, repeated and proportional members,
   integral generators dependent modulo the free span, and lists where
-  the drop rule keeps generators whose reductions are still dependent.
+  the drop rule keeps generators whose reductions are still dependent;
+* ``flag`` and ``box`` of the empty set in dimension 2, and ``tvcount`` at
+  r = 1 on each ``DEGENERATE`` point set, on the same four fields;
+* ``pierce``, and ``frachelly`` at k = 1, 2 and 3, on six seeded random
+  joined families (``JOINED``: two common-point families from one
+  ``Sampler``, one after the other) in dimensions 1 and 2 over padic:2,
+  padic:3 and ratfunc:3.  Their nerve walks reach leaves that an earlier
+  member still meets, which are not maximal faces.
 
 A change that must keep every report byte-identical leaves the digest
 unchanged.  Run from the repository root:
@@ -45,6 +52,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +62,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import payloads  # noqa: E402
 from ultraconv import cli  # noqa: E402
+from ultraconv.field import Field  # noqa: E402
+from ultraconv.randgen import Sampler  # noqa: E402
+from ultraconv.serialize import convex_to_json  # noqa: E402
 
 SEEDS = range(1, 9)
 VERIFY = (("padic:2", 30), ("padic:3", 30), ("ratfunc:3", 6), ("ratfunc:0", 2))
@@ -94,6 +105,20 @@ MODULES = (
     ([(1, 2), (1, 2)], [(1,), (2, 1), (0, 1)]),
     ([], [(1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 1, 2)]),
 )
+
+
+JOINED = ("padic:2", "padic:3", "ratfunc:3")
+
+
+def _joined_families(selector: str, dim: int) -> list:
+    s = Sampler(Field.from_selector(selector), dim)
+    rng = random.Random(dim)
+    fams = []
+    for _ in range(6):
+        first, _ = s.common_point_family(rng.randint(1, 4), dim)
+        second, _ = s.common_point_family(rng.randint(1, 4), dim)
+        fams.append([convex_to_json(m) for m in first.members + second.members])
+    return fams
 
 
 def _module_sets(dim: int) -> list:
@@ -150,6 +175,19 @@ def calls():
             for first in sets:
                 for second in sets:
                     yield ["intersect", *args], {"first": first, "second": second}
+    for field, _ in VERIFY:
+        args = ["--field", field, "--json"]
+        yield ["flag", *args], {"set": {"empty": True, "dim": 2}}
+        yield ["box", *args], {"set": {"empty": True, "dim": 2}}
+        for pts in DEGENERATE:
+            yield ["tvcount", *args], {"points": pts, "r": 1}
+    for field in JOINED:
+        args = ["--field", field, "--json"]
+        for dim in (1, 2):
+            for fam in _joined_families(field, dim):
+                yield ["pierce", *args], {"family": fam}
+                for k in (1, 2, 3):
+                    yield ["frachelly", *args], {"family": fam, "k": k}
 
 
 def digest() -> str:
