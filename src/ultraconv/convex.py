@@ -24,6 +24,7 @@ from .linalg import (
     Vector,
     _drop_step,
     _kept_basis,
+    _ring_member,
     solve,
 )
 
@@ -88,11 +89,11 @@ class MixedModule:
         """Membership decided through the normal form."""
         if x.dim != self.dim:
             raise DimensionError("point dimension mismatch")
-        return self._int_basis.spans_integrally(self._free_basis._reduce(x)[1])
+        return _ring_member(x, self._free_basis._ring_rows(), self._int_basis._ring_rows())
 
     def contains_line(self, v: Vector) -> bool:
         """Whether the whole line K*v lies inside the module."""
-        return self._free_basis._reduce(v)[1].is_zero
+        return _ring_member(v, self._free_basis._ring_rows(), ())
 
 
 class ConvexSet:

@@ -84,7 +84,7 @@ def is_prime(n: int) -> bool:
     generator seeded by ``n`` above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n < _DETERMINISTIC_BOUND:
@@ -125,8 +125,9 @@ def _int_val(n: int, p: int) -> int:
 # polynomial arithmetic for the rational function backend
 
 # Polynomials are tuples of integer coefficients, lowest degree first, with
-# no trailing zeros; () is the zero polynomial.  Sums and products are plain
-# integer loops; the coefficient class then reduces them.
+# no trailing zeros; () is the zero polynomial.  Sums are plain integer
+# loops, and so are products unless both factors have 32 coefficients or
+# more; the coefficient class then reduces them.
 
 def _ptrim(cs) -> tuple:
     n = len(cs)
@@ -138,12 +139,36 @@ def _ptrim(cs) -> tuple:
 def _pmul(a, b) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+    n = len(a) + len(b) - 1
+    if len(a) < 32 or len(b) < 32:
+        out = [0] * n
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return out
+    # Kronecker substitution: evaluate both at 2^k, multiply the integers
+    # once and read the coefficients back as base-2^k digits.  Every product
+    # coefficient is below half = 2^(k-1) in magnitude, so with half added to
+    # each, every digit is nonnegative and none carries into the next.
+    k = 8 * ((min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() // 8 + 1)
+    u = v = 0
+    for c in reversed(a):
+        u = (u << k) + c
+    for c in reversed(b):
+        v = (v << k) + c
+    half, kb = 1 << (k - 1), k // 8
+    h = (u * v + int.from_bytes(half.to_bytes(kb, "little") * n, "little")).to_bytes(n * kb, "little")
+    return [int.from_bytes(h[i:i + kb], "little") - half for i in range(0, n * kb, kb)]
+
+
+def _padd(x: list, y: list) -> list:
+    """x + y for coefficient lists, reusing the longer one."""
+    if len(x) < len(y):
+        x, y = y, x
+    for i, c in enumerate(y):
+        x[i] += c
+    return x
 
 
 def _pord(a) -> int:
@@ -154,12 +179,8 @@ def _pord(a) -> int:
 
 
 def _zprimitive(cs):
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-    if g > 1:
-        cs = [c // g for c in cs]
-    return cs
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
 def _zprem(A, B):
@@ -222,21 +243,28 @@ def _zdiv(A, G):
     return _ptrim(Q)
 
 
+def _cofactors(G, A, B) -> tuple:
+    """G with the quotients A/G and B/G; for G = 1, the inputs as given."""
+    return (G, A, B) if len(G) == 1 else (G, _zdiv(A, G), _zdiv(B, G))
+
+
 def _zgcd_heu(A, B):
-    """The gcd `_zgcd` returns, by the cheapest exact route.  A constant
-    input gives 1.  A linear input b1*t + b0 is, made primitive, the gcd
-    exactly when the other input vanishes at -b0/b1.  Otherwise GCDHEU
-    (Char, Geddes & Gonnet, J. Symbolic Comput. 1989): evaluate both
-    primitive parts at an integer xi, read the integer gcd's balanced
-    base-xi digits and keep their primitive part if it divides both.  For
-    xi >= 2*min(|A|, |B|) + 2 such a divisor is the gcd.  After six
-    points the pseudo-remainder sequence answers."""
+    """The gcd `_zgcd` returns, with the cofactors A/gcd and B/gcd, by the
+    cheapest exact route.  A constant input gives 1.  A linear input
+    b1*t + b0 is, made primitive, the gcd exactly when the other input
+    vanishes at -b0/b1.  Otherwise GCDHEU (Char, Geddes & Gonnet, J. Symbolic
+    Comput. 1989): evaluate both primitive parts at an integer xi, read the
+    integer gcd's balanced base-xi digits and keep their primitive part if it
+    divides both; those quotients, times the integer contents, are the
+    cofactors.  For xi >= 2*min(|A|, |B|) + 2 such a divisor is the gcd.
+    After six points the pseudo-remainder sequence answers."""
     if not A or not B:
-        return _zgcd(A, B)
+        return _cofactors(_zgcd(A, B), A, B)
     if len(A) == 1 or len(B) == 1:
-        return [1]
-    if len(A) == 2:
-        A, B = B, A
+        return [1], A, B
+    if len(A) == 2 and len(B) > 2:
+        G, QB, QA = _zgcd_heu(B, A)
+        return G, QA, QB
     if len(B) == 2:
         # A(-b0/b1) * b1^deg(A), by a homogeneous Horner sum
         b0, b1 = B
@@ -245,20 +273,22 @@ def _zgcd_heu(A, B):
             p *= b1
             s = s * -b0 + a * p
         if s:
-            return [1]
+            return [1], A, B
         g = math.gcd(b0, b1) if b1 > 0 else -math.gcd(b0, b1)
-        return [b0 // g, b1 // g]
-    A, B = _zprimitive(list(A)), _zprimitive(list(B))
-    na, nb = max(map(abs, A)), max(map(abs, B))
+        G = [b0 // g, b1 // g]
+        return G, _zdiv(A, G), (g,)
+    ca, cb = math.gcd(*A), math.gcd(*B)
+    PA, PB = [c // ca for c in A], [c // cb for c in B]
+    na, nb = max(map(abs, PA)), max(map(abs, PB))
     m = 2 * min(na, nb)
     # sympy's dup_zz_heu_gcd start, raised to the bound m + 2 where it is below
     xi = max(min(m + 29, 99 * math.isqrt(m + 29)),
-             2 * min(na // abs(A[-1]), nb // abs(B[-1])) + 4, m + 2)
+             2 * min(na // abs(PA[-1]), nb // abs(PB[-1])) + 4, m + 2)
     for _ in range(6):
         u = v = 0
-        for c in reversed(A):
+        for c in reversed(PA):
             u = u * xi + c
-        for c in reversed(B):
+        for c in reversed(PB):
             v = v * xi + c
         if u and v:
             h, G = math.gcd(u, v), []
@@ -270,10 +300,14 @@ def _zgcd_heu(A, B):
                 h = (h - d) // xi
             # h > 0, so its top digit is too
             G = _zprimitive(G)
-            if len(G) == 1 or _zdiv(A, G) is not None and _zdiv(B, G) is not None:
-                return G
+            if len(G) == 1:
+                return G, A, B
+            QA = _zdiv(PA, G)
+            QB = None if QA is None else _zdiv(PB, G)
+            if QB is not None:
+                return G, _ptrim([ca * c for c in QA]), _ptrim([cb * c for c in QB])
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return _zgcd(A, B)
+    return _cofactors(_zgcd(PA, PB), A, B)
 
 
 class _IntegerCoeffs:
@@ -331,11 +365,16 @@ class _PrimeCoeffs:
         return _ptrim(quo), _ptrim(r)
 
     def gcd(self, a, b):
-        """Monic gcd of two nonzero polynomials, by Euclid's algorithm."""
-        while b:
-            a, b = b, self._divmod(a, b)[1]
-        c = pow(a[-1], -1, self.char)
-        return self.reduce([x * c for x in a])
+        """Monic gcd of two nonzero polynomials, by Euclid's algorithm, with
+        the cofactors a/gcd and b/gcd; a cofactor of a gcd 1 is its input."""
+        g, r = a, b
+        while r:
+            g, r = r, self._divmod(g, r)[1]
+        c = pow(g[-1], -1, self.char)
+        g = self.reduce([x * c for x in g])
+        if len(g) == 1:
+            return g, a, b
+        return g, self.div_exact(a, g), self.div_exact(b, g)
 
     def div_exact(self, a, g):
         return self._divmod(a, g)[0]
@@ -368,9 +407,7 @@ def _rf_canon(F, num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return _RF_ZERO
-    g = F.gcd(num, den)
-    if len(g) > 1:
-        num, den = F.div_exact(num, g), F.div_exact(den, g)
+    _, num, den = F.gcd(num, den)
     return F.normal(num, den)
 
 
@@ -623,15 +660,10 @@ class _PadicOps:
         return (num // g, den // g)
 
     def grooming_unit(self, payloads):
-        L = 1
-        for _, d in payloads:
-            L = L * d // math.gcd(L, d)
-        k = _int_val(L, self.p)
-        g = 0
-        for n, d in payloads:
-            g = math.gcd(g, n * (L // d))
+        L = math.lcm(*(d for _, d in payloads))
+        g = math.gcd(*(n * (L // d) for n, d in payloads))
         g //= self.p ** _int_val(g, self.p)
-        L //= self.p**k
+        L //= self.p ** _int_val(L, self.p)
         c = math.gcd(L, g)
         return (L // c, g // c)
 
@@ -653,6 +685,21 @@ class _PadicOps:
         g = math.gcd(num, den)
         return (num // g, den // g)
 
+    # the ring Z, for fraction-free reduction: elements are plain ints
+
+    def _ring_clear(self, payloads):
+        """Integers X_i and val(L), where payload i is X_i / L for the lcm L
+        of the denominators."""
+        L = math.lcm(*(d for _, d in payloads))
+        return [n if d == L else n * (L // d) for n, d in payloads], _int_val(L, self.p)
+
+    def _ring_val(self, a) -> int:
+        return _int_val(a, self.p)
+
+    def _ring_comb(self, a, xs, b, ys) -> list:
+        """a*xs - b*ys, entry by entry."""
+        return [a * x - b * y for x, y in zip(xs, ys)]
+
 
 class _RatFuncOps:
     """Operations on (numerator, denominator) polynomial payloads with the
@@ -673,22 +720,13 @@ class _RatFuncOps:
             return a
         F = self.F
         (N1, B), (N2, D) = a, b
-        t = F.gcd(B, D)
-        if len(t) > 1:
-            B, D = F.div_exact(B, t), F.div_exact(D, t)
+        t, B, D = F.gcd(B, D)
         # a + b = (N1*D + N2*B) / (t*B*D); a shared factor can only sit in t
-        E, right = _pmul(N1, D), _pmul(N2, B)
-        if len(E) < len(right):
-            E, right = right, E
-        for i, c in enumerate(right):
-            E[i] += c
-        E = F.reduce(E)
+        E = F.reduce(_padd(_pmul(N1, D), _pmul(N2, B)))
         if not E:
             return _RF_ZERO
         if len(t) > 1:
-            g = F.gcd(E, t)
-            if len(g) > 1:
-                E, t = F.div_exact(E, g), F.div_exact(t, g)
+            _, E, t = F.gcd(E, t)
         return F.normal(E, F.reduce(_pmul(t, _pmul(B, D))))
 
     def sub(self, a, b):
@@ -699,12 +737,8 @@ class _RatFuncOps:
         if not N1 or not N2:
             return _RF_ZERO
         F = self.F
-        g = F.gcd(N1, D2)
-        if len(g) > 1:
-            N1, D2 = F.div_exact(N1, g), F.div_exact(D2, g)
-        g = F.gcd(N2, D1)
-        if len(g) > 1:
-            N2, D1 = F.div_exact(N2, g), F.div_exact(D1, g)
+        _, N1, D2 = F.gcd(N1, D2)
+        _, N2, D1 = F.gcd(N2, D1)
         return F.normal(F.reduce(_pmul(N1, N2)), F.reduce(_pmul(D1, D2)))
 
     def div(self, a, b):
@@ -770,12 +804,11 @@ class _RatFuncOps:
         F = self.F
         L = (1,)
         for _, d in payloads:
-            g = F.gcd(L, d)
-            L = F.reduce(_pmul(L, F.div_exact(d, g) if len(g) > 1 else d))
+            L = F.reduce(_pmul(L, F.gcd(L, d)[2]))
         g = None
         for n, d in payloads:
             m = F.reduce(_pmul(n, F.div_exact(L, d)))
-            g = m if g is None else F.gcd(g, m)
+            g = m if g is None else F.gcd(g, m)[0]
         L, g = L[_pord(L):], g[_pord(g):]
         # monic(L) / monic(g), whatever scalars the gcds carried
         return _rf_canon(F, [c * g[-1] for c in L], [c * L[-1] for c in g])
@@ -806,6 +839,28 @@ class _RatFuncOps:
                     R[i + j] -= c * u
                 R = list(F.reduce(R))
         return _rf_canon(F, R[m:], unit)
+
+    # the ring Z[t] or F_q[t], for fraction-free reduction: elements are
+    # coefficient tuples as in payloads, () for zero
+
+    def _ring_clear(self, payloads):
+        """Polynomials X_i and val(L), where payload i is X_i / L for the
+        product L of the distinct denominators; no gcd is taken."""
+        dens, out = list(dict.fromkeys(d for _, d in payloads if d != (1,))), []
+        for n, d in payloads:
+            for e in dens:
+                if e != d:
+                    n = _pmul(n, e)
+            out.append(self.F.reduce(n))
+        return out, sum(map(_pord, dens))
+
+    def _ring_val(self, a) -> int:
+        return _pord(a)
+
+    def _ring_comb(self, a, xs, b, ys) -> list:
+        """a*xs - b*ys, entry by entry."""
+        b = [-c for c in b]
+        return [self.F.reduce(_padd(_pmul(a, x), _pmul(b, y))) for x, y in zip(xs, ys)]
 
 
 class Field:

@@ -20,7 +20,16 @@ exact.  It provides:
   kept generators and normal form by the same step,
 * ``ScaleSystem``: kernels and affine systems where a chosen subset of
   coordinates is constrained to the valuation ring O, with each part
-  reduced when first asked for.
+  reduced when first asked for,
+* ``_ring_member``: the one membership decision, for
+  ``OrthoBasis.spans_integrally`` and, in ``convex``, ``MixedModule.member``
+  and ``contains_line``.  It runs ``OrthoBasis._reduce``'s reduction in
+  the payloads' ring (Z for padic, Z[t] or F_q[t] for ratfunc) with no gcd:
+  each basis clears its denominators once, the point is cleared the same
+  way, each step scales the point by the pivot entry instead of dividing,
+  and only the valuation of that running scale is kept, which is all the
+  integrality test needs.  ``_reduce`` stays at payload level for callers
+  that need its coefficients or residual.
 """
 from __future__ import annotations
 
@@ -310,7 +319,7 @@ class OrthoBasis:
     be read off by successive pivot elimination.
     """
 
-    __slots__ = ("field", "dim", "vectors", "pivot_indices", "gammas")
+    __slots__ = ("field", "dim", "vectors", "pivot_indices", "gammas", "_ring")
 
     def __init__(self, field: Field, dim: int, vectors: Sequence[Vector],
                  pivot_indices: Sequence[int], gammas: Sequence[int]):
@@ -319,6 +328,7 @@ class OrthoBasis:
         self.vectors = tuple(vectors)
         self.pivot_indices = tuple(pivot_indices)
         self.gammas = tuple(gammas)
+        self._ring = None
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -349,12 +359,49 @@ class OrthoBasis:
 
     def spans_integrally(self, x: Vector) -> bool:
         """Membership of x in the O-span of the family."""
-        cs, rest = self._reduce(x)
-        val = self.field.ops.val
-        return rest.is_zero and all(val(c) >= 0 for c in cs)
+        return _ring_member(x, (), self._ring_rows())
+
+    def _ring_rows(self) -> tuple:
+        """The vectors with their denominators cleared, once, on first use:
+        per vector its ring row U, pivot coordinate p, pivot entry U[p], the
+        valuation of U[p] and that of the cleared denominator."""
+        if self._ring is None:
+            ops, rows = self.field.ops, []
+            for u, p in zip(self.vectors, self.pivot_indices):
+                U, val_den = ops._ring_clear(u._data)
+                rows.append((U, p, U[p], ops._ring_val(U[p]), val_den))
+            self._ring = tuple(rows)
+        return self._ring
 
     def gamma_multiset(self) -> Tuple[int, ...]:
         return tuple(sorted(self.gammas))
+
+
+def _ring_member(x: Vector, free: Sequence[tuple], integral: Sequence[tuple]) -> bool:
+    """Whether x lies in the K-span of the ``free`` rows plus the O-span of
+    the ``integral`` rows (``OrthoBasis._ring_rows``), each row vanishing on
+    the pivots of the rows before it.
+
+    The reduction is ``OrthoBasis._reduce``'s, run in the payloads' ring
+    with no gcd.  With x = X / S and a row u = U / L whose pivot entry is
+    a = U[p], the step at b = X[p] is X <- a*X - b*U and S <- S*a.  Its
+    coefficient b*L / (S*a) has valuation val(b) + val(L) - val(S) - val(a),
+    so only val(S) is kept.  An integral row with a coefficient of negative
+    valuation answers False; otherwise x is in the span exactly when the
+    final X is zero.
+    """
+    ops = x.field.ops
+    ring_val, comb = ops._ring_val, ops._ring_comb
+    rest, val_scale = ops._ring_clear(x._data)
+    for rows, integral_rows in ((free, False), (integral, True)):
+        for U, p, a, val_a, val_den in rows:
+            b = rest[p]
+            if b:
+                if integral_rows and ring_val(b) + val_den - val_scale - val_a < 0:
+                    return False
+                rest = comb(a, rest, b, U)
+                val_scale += val_a
+    return not any(rest)
 
 
 def least_valuation_index(vals: Sequence[int]) -> int:
@@ -470,13 +517,12 @@ class ScaleSystem:
     Nothing is reduced before a question needs it.  A box query reduces
     [G | x] once, which also gives the kernel of G.  ``free_part``, the
     kernel supported on FREE coordinates (that of G stacked over the unit
-    rows of the INTEGRAL coordinates), is read off G with its INTEGRAL
-    columns zeroed: those become free columns with unit kernel vectors,
-    and the others reduce as in G's FREE columns alone.  Each kernel
-    vector of G is 1 at its own free column and 0 at the others, so those
-    that vanish at the free columns of ``free_part`` span a complement,
-    orthogonalized once on the INTEGRAL coordinates for ``integral_part``
-    and for each box solution.
+    rows of the INTEGRAL coordinates), is the kernel of G's FREE columns
+    alone, padded with zeros; with no FREE column it is empty and nothing
+    is reduced.  Each kernel vector of G is 1 at its own free column and 0
+    at the others, so those that vanish at the free columns of
+    ``free_part`` span a complement, orthogonalized once on the INTEGRAL
+    coordinates for ``integral_part`` and for each box solution.
     """
 
     def __init__(self, G: Matrix, scales: Sequence[str]):
@@ -494,10 +540,19 @@ class ScaleSystem:
 
     @cached_property
     def _free_kernel(self) -> List[Tuple[int, Vector]]:
-        ints, zero = set(self.int_indices), self.field.zero.data
-        rows = [tuple(zero if j in ints else a for j, a in enumerate(r)) for r in self.G._rows]
-        s = LinearSolver(_matrix(self.field, rows, self.G.ncols))
-        return [(f, k) for f, k in zip(s.free_cols, s.kernel()) if f not in ints]
+        ints, n = set(self.int_indices), self.G.ncols
+        cols = [j for j in range(n) if j not in ints]
+        if not cols:
+            return []
+        s = LinearSolver(_matrix(self.field, [tuple(map(r.__getitem__, cols)) for r in self.G._rows],
+                                 len(cols)))
+        out, zero = [], self.field.zero.data
+        for f, k in zip(s.free_cols, s.kernel()):
+            v = [zero] * n
+            for j, a in zip(cols, k._data):
+                v[j] = a
+            out.append((cols[f], _vector(self.field, tuple(v))))
+        return out
 
     @cached_property
     def free_part(self) -> List[Vector]:

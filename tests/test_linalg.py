@@ -203,9 +203,10 @@ def test_mixed_solve_witness_respects_scales():
 
 def test_mixed_solve_reduction_counts(monkeypatch):
     """A box query reduces [G | x] once.  Only a target inside the column
-    space goes on to the reduction that gives the free part (G with its
-    INTEGRAL columns zeroed); the complement is independent, so its
-    orthogonalization builds no solver."""
+    space goes on to the reduction that gives the free part (G's FREE
+    columns alone); the complement is independent, so its orthogonalization
+    builds no solver.  With no FREE column the free part is empty and
+    nothing more is reduced."""
     f = Field.padic(2)
     G = Matrix.from_cols(f, [_vec(f, 1, 0), _vec(f, 2, 0), _vec(f, 3, 0)])
     builds = []
@@ -219,10 +220,14 @@ def test_mixed_solve_reduction_counts(monkeypatch):
     scales = [INTEGRAL, FREE, INTEGRAL]
     assert ScaleSystem(G, scales).solve_box(_vec(f, 1, 0)) == \
         Vector(f, [f.zero, f.fraction(1, 2), f.zero])
-    assert builds == [4, 3]
+    assert builds == [4, 1]
     builds.clear()
     assert ScaleSystem(G, scales).solve_box(_vec(f, 0, 1)) is None
     assert builds == [4]
+    builds.clear()
+    box = ScaleSystem(G, [INTEGRAL] * 3)
+    assert G.mul_vec(box.solve_box(_vec(f, 1, 0))) == _vec(f, 1, 0)
+    assert box.free_part == [] and builds == [4]
 
 
 @pytest.mark.parametrize("sel,trials", FIELDS)

@@ -4,9 +4,10 @@ element-level code it replaced.
 The oracle below keeps the earlier algorithms, written with ``FieldElement``
 operators on the entries a vector or matrix yields when read: vector
 arithmetic, the valuation, grooming, matrix-vector products, reduction
-against a valuation-orthogonal basis and module membership.  Payloads are
-canonical and the arithmetic is exact, so the library must agree with the
-oracle exactly.  Inputs are the seeded samples of the elimination
+against a valuation-orthogonal basis and module membership, which the
+library decides by a fraction-free reduction in the payloads' ring while
+the oracle divides in the field.  Payloads are canonical and the
+arithmetic is exact, so the library must agree with the oracle exactly.  Inputs are the seeded samples of the elimination
 differential suite.
 """
 
@@ -155,3 +156,95 @@ def test_member_matches_element_oracle(sel, trials):
             hits += got
             misses += not got
     assert hits and misses
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free decisions: ``member``, ``contains_line`` and
+# ``spans_integrally`` run in the payloads' ring (``linalg._ring_member``),
+# the oracle divides in the field
+
+def o_contains_line(module, v):
+    free_basis, _ = module.normal_form()
+    return all(a.is_zero for a in o_reduce(free_basis, v)[1])
+
+
+PADIC_DENS = (1, 3, 5, 7, 9, 11, 13)
+RATFUNC_DENS = ([1], [1, 1], [2, 1], [1, 0, 1], [1, 1, 1], [1, 0, 0, 1])
+
+
+def designed_entry(f, rng, degree):
+    """Zero one time in five; otherwise an element over one of several
+    distinct denominators (a random one of the given degree over ratfunc
+    once the degree reaches 20), times pi^e with |e| <= 3."""
+    if rng.random() < 0.2:
+        return f.zero
+    if f.kind == "padic":
+        x = f.fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.choice(PADIC_DENS))
+    else:
+        num = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-2, -1, 1, 2))]
+        if degree < 20:
+            den = rng.choice(RATFUNC_DENS)
+        else:
+            den = [rng.choice((-2, -1, 1, 2))] + [rng.randint(-9, 9) for _ in range(degree - 1)] + [1]
+        x = f.ratio(num, den)
+    return x * f.uniformizer_pow(rng.randint(-3, 3))
+
+
+def designed_module(f, rng, d, degree):
+    def gen():
+        return Vector(f, [designed_entry(f, rng, degree) for _ in range(d)])
+    free = [gen() for _ in range(rng.choice((0, 0, 1, 2)) if d > 1 else 0)]
+    return MixedModule(f, d, free, [gen() for _ in range(rng.randint(0, d + 1))])
+
+
+def ring_probes(f, rng, module, degree):
+    """A module point with integral coefficients of several valuations, that
+    point times pi^-1 and times pi^k for k >= 20, the point plus pi^-1 times
+    each vector of the integral basis (the last one included), the point
+    plus a free generator over pi^5, and a random point."""
+    pi = f.uniformizer_pow
+    inside = Vector.zero(f, module.dim)
+    for g in module.free_gens:
+        inside = inside + g.scale(designed_entry(f, rng, 1))
+    for g in module.integral_gens:
+        inside = inside + g.scale(f.from_int(rng.randint(-3, 3)) * pi(rng.randint(0, 2)))
+    probes = [inside, inside.scale(pi(-1)), inside.scale(pi(rng.randint(20, 30)))]
+    probes += [inside + u.scale(pi(-1)) for u in module.normal_form()[1].vectors]
+    probes += [inside + v.scale(pi(-5)) for v in module.free_gens[:1]]
+    probes.append(Vector(f, [designed_entry(f, rng, degree) for _ in range(module.dim)]))
+    return probes
+
+
+def check_ring_decisions(f, rng, trials, degree, dims):
+    seen = {"member": set(), "contains_line": set(), "spans_integrally": set()}
+    for trial in range(trials):
+        d = rng.choice(dims)
+        module = designed_module(f, rng, d, degree)
+        _, int_basis = module.normal_form()
+        for x in ring_probes(f, rng, module, degree):
+            got = module.member(x)
+            assert got == o_member(module, x), (f.selector, trial, x)
+            seen["member"].add(got)
+            got = int_basis.spans_integrally(x)
+            assert got == o_spans_integrally(int_basis, x.coords), (f.selector, trial, x)
+            seen["spans_integrally"].add(got)
+        lines = [g.scale(f.uniformizer_pow(-7)) for g in module.free_gens]
+        lines += list(module.integral_gens[:2]) + [Vector.zero(f, d)]
+        if len(module.free_gens) > 1:
+            lines.append(module.free_gens[0] + module.free_gens[1].scale(designed_entry(f, rng, 1)))
+        for v in lines:
+            got = module.contains_line(v)
+            assert got == o_contains_line(module, v), (f.selector, trial, v)
+            seen["contains_line"].add(got)
+    assert all(s == {True, False} for s in seen.values()), seen
+
+
+@pytest.mark.parametrize("sel,trials", FIELDS)
+def test_ring_decisions_match_element_oracle(sel, trials):
+    f = Field.from_selector(sel)
+    check_ring_decisions(f, random.Random(f"ring-decisions-{sel}"), trials, 2, (1, 2, 3, 4))
+
+
+def test_ring_decisions_on_ratfunc0_entries_of_degree_20():
+    f = Field.ratfunc(0)
+    check_ring_decisions(f, random.Random("ring-decisions-degree-20"), 8, 20, (1, 2, 3))
