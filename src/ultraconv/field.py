@@ -84,7 +84,7 @@ def is_prime(n: int) -> bool:
     generator seeded by ``n`` above it."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
     if n < _DETERMINISTIC_BOUND:
@@ -126,8 +126,8 @@ def _int_val(n: int, p: int) -> int:
 
 # Polynomials are tuples of integer coefficients, lowest degree first, with
 # no trailing zeros; () is the zero polynomial.  Sums are plain integer
-# loops, and so are products unless both factors have 32 coefficients or
-# more; the coefficient class then reduces them.
+# loops, and so are products unless both factors have _KRONECKER_MIN
+# coefficients or more; the coefficient class then reduces them.
 
 def _ptrim(cs) -> tuple:
     n = len(cs)
@@ -136,11 +136,19 @@ def _ptrim(cs) -> tuple:
     return tuple(cs[:n])
 
 
+# From 12 coefficients on the shorter factor, Kronecker substitution beat the
+# loop in every case of five runs of `tools/pmul_cutover.py` (factors of 4,
+# 16 and 36 bits, equal lengths and lengths 1:8); at 10 it lost one case once
+# and at 8 the loop won the equal-length 4- and 16-bit cases.  One run's
+# table is in BENCH_4.json under "pmul_cutover".
+_KRONECKER_MIN = 12
+
+
 def _pmul(a, b) -> list:
     if not a or not b:
         return []
     n = len(a) + len(b) - 1
-    if len(a) < 32 or len(b) < 32:
+    if len(a) < _KRONECKER_MIN or len(b) < _KRONECKER_MIN:
         out = [0] * n
         for i, ca in enumerate(a):
             if ca:
@@ -179,8 +187,12 @@ def _pord(a) -> int:
 
 
 def _zprimitive(cs):
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g > 1 else cs
+    g = 0
+    for c in cs:
+        g = math.gcd(g, c)
+    if g > 1:
+        cs = [c // g for c in cs]
+    return cs
 
 
 def _zprem(A, B):
@@ -660,10 +672,15 @@ class _PadicOps:
         return (num // g, den // g)
 
     def grooming_unit(self, payloads):
-        L = math.lcm(*(d for _, d in payloads))
-        g = math.gcd(*(n * (L // d) for n, d in payloads))
+        L = 1
+        for _, d in payloads:
+            L = L * d // math.gcd(L, d)
+        k = _int_val(L, self.p)
+        g = 0
+        for n, d in payloads:
+            g = math.gcd(g, n * (L // d))
         g //= self.p ** _int_val(g, self.p)
-        L //= self.p ** _int_val(L, self.p)
+        L //= self.p**k
         c = math.gcd(L, g)
         return (L // c, g // c)
 

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from ultraconv import field
-from ultraconv.field import _IntegerCoeffs, _PrimeCoeffs, _pmul, _ptrim, _zdiv, _zgcd, _zgcd_heu
+from ultraconv.field import _KRONECKER_MIN, _IntegerCoeffs, _PrimeCoeffs, _pmul, _ptrim, _zdiv, _zgcd, _zgcd_heu
 
 
 def poly(rng, deg, bound):
@@ -156,19 +156,21 @@ def schoolbook(a, b):
 
 
 def test_kronecker_product_matches_the_schoolbook_loop():
-    """Products of factors with 32 coefficients or more go through one
-    integer product; signs, zero coefficients, a single nonzero coefficient
-    and coefficients from 1 to 400 bits must come back exactly.  Equal
-    coefficients make the middle one of the product as large as the bound
-    allows; with c below, that bound is just under 2^24."""
+    """Products of factors with _KRONECKER_MIN coefficients or more go
+    through one integer product; signs, zero coefficients, a single nonzero
+    coefficient and coefficients from 1 to 400 bits must come back exactly,
+    on both sides of the cutover.  Equal coefficients make the middle one of
+    the product as large as the bound allows; with c below, that bound is
+    just under 2^24."""
     rng = random.Random("kronecker")
     c = math.isqrt((2 ** 24 - 1) // 32)
     cases = [([0] * 31 + [1], [0] * 31 + [-1]), ([-1] * 40, [1] * 32), ([2 ** 400] * 33, [-(2 ** 400)] * 50),
              ([c] * 32, [c] * 32), ([-c] * 32, [c] * 32)]
     for _ in range(150):
         bits = rng.choice([1, 2, 8, 63, 64, 65, 400])
-        a, b = ([rng.choice([0, 0, 1, -1]) * rng.randint(0, 2 ** bits) for _ in range(rng.randint(32, 120))]
+        a, b = ([rng.choice([0, 0, 1, -1]) * rng.randint(0, 2 ** bits) for _ in range(rng.randint(_KRONECKER_MIN, 120))]
                 + [rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)] for _ in range(2))
         cases.append((a, b))
     for a, b in cases:
-        assert _pmul(a, b) == schoolbook(a, b) and _pmul(a[-31:], b) == schoolbook(a[-31:], b)
+        for x in (a, a[-_KRONECKER_MIN:], a[-_KRONECKER_MIN + 1:]):
+            assert _pmul(x, b) == schoolbook(x, b)
