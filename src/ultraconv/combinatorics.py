@@ -7,12 +7,11 @@ counts and a greedy piercing heuristic.  Everything returns data that can be
 re-validated offline with exact arithmetic.
 
 The exhaustive searches build only the hulls and intersections their
-answers need.  Partitions are enumerated block by block (each block holds
-the least unassigned index) and combinations by increasing index; a
-running intersection is shared by every completion of its prefix, and a
-prefix whose intersection is empty is cut with its whole subtree.  The last
-block is decided by ``meets``, which builds no intersection.  Hulls are
-cached by index bitmask within one call.
+answers need: combinations go by increasing index, a running intersection
+is shared by every completion of its prefix, and a prefix whose
+intersection is empty is cut with its whole subtree.  Tverberg partition
+counts build no hull: each partition is decided from the points alone, by
+whether one vector lies in an O-span (``_hulls_meet``).
 
 Fractional Helly statistics and piercing candidates share one walk over the
 nerve of a family (the index sets whose members share a point), which
@@ -20,6 +19,7 @@ returns the nerve's maximal faces.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -35,11 +35,10 @@ from .convex import (
     caratheodory_indices,
     conv_hull,
     intersect,
-    meets,
     quasi_ball,
     subset,
 )
-from .linalg import Vector
+from .linalg import Vector, _spans_integrally
 
 
 class EmptyIntersectionError(ValueError):
@@ -103,22 +102,16 @@ def helly_lower_bound_witness(field: Field, d: int) -> Family:
     subsets of {0, e_1, ..., e_d}.  Every d of them share a point while the
     whole family does not."""
     pts = [Vector.zero(field, d)] + [Vector.unit(field, d, i) for i in range(d)]
-    members = []
-    for omit in range(d + 1):
-        members.append(conv_hull([p for j, p in enumerate(pts) if j != omit]))
-    return Family(field, d, members)
+    return Family(field, d, [conv_hull([p for j, p in enumerate(pts) if j != omit])
+                             for omit in range(d + 1)])
 
 
 def coordinate_hyperplanes(field: Field, d: int) -> Family:
     """The d hyperplanes {x : x_i = 0}; their intersection is the origin and
     no proper subfamily pins it down."""
-    members = []
-    for i in range(d):
-        gens = [Vector.unit(field, d, j) for j in range(d) if j != i]
-        members.append(
-            ConvexSet.of(Vector.zero(field, d), MixedModule(field, d, gens, ()))
-        )
-    return Family(field, d, members)
+    units, zero = [Vector.unit(field, d, j) for j in range(d)], Vector.zero(field, d)
+    return Family(field, d, [ConvexSet.of(zero, MixedModule(field, d, units[:i] + units[i + 1:]))
+                             for i in range(d)])
 
 
 def breadth_reduce(fam: Family) -> List[int]:
@@ -218,38 +211,58 @@ def validate_tverberg(points: Sequence[Vector], part: TverbergPartition, r: int)
     return all(h.contains(witness) for h in hulls)
 
 
+def _hulls_meet(ops, diff, blocks: Sequence[Tuple[int, ...]], point_in_hull) -> bool:
+    """Whether the hulls of the index blocks share a point, from the point
+    differences ``diff[i][j]`` = p_j - p_i (payload tuples).  With the
+    blocks B_0, ..., B_{k-1} smallest first and t_i the first point of B_i,
+    the hull of B_i is t_i + O-span(p - t_i), so the hulls meet exactly when
+    (t_i - t_0)_{i>=1} lies in the O-span of each B_0 difference repeated in
+    all k-1 row blocks and each B_i difference negated in row block i-1.
+    Only B_0 couples the row blocks; a one-point B_0 must lie in each other
+    hull (``point_in_hull``)."""
+    (t0, *firsts), *others = sorted(blocks, key=len)
+    if not firsts:
+        return all(point_in_hull(t0, b) for b in others)
+    zero, k = diff[t0][t0], len(others)
+    cols = [diff[t0][p] * k for p in firsts]
+    for i, (t, *ps) in enumerate(others):
+        cols += [zero * i + diff[p][t] + zero * (k - 1 - i) for p in ps]
+    return _spans_integrally(ops, cols, sum((diff[t0][b[0]] for b in others), ()))
+
+
 def count_tverberg_partitions(points: Sequence[Vector], r: int) -> int:
     """Number of unordered partitions of the point list into r nonempty
     blocks whose hulls share a point; one block (r = 1) is always a
-    partition.  Exhaustive; capped at 12 points.
+    partition.  Exhaustive; capped at 12 points.  For r >= 2, points of
+    unequal dimension or from different fields raise ``DimensionError``.
 
     Blocks are chosen one at a time: each takes the least unassigned index
     plus a subset of the other unassigned ones, leaving at least one index
-    for every block still to come.  The intersection of the chosen blocks'
-    hulls is shared by all completions, and a choice that empties it is
-    cut with its whole subtree.  Once two blocks remain, the second is the
-    rest, and the pair is decided by ``meets`` with that intersection.
-    Hulls are cached by index bitmask for the duration of the call, except
-    those of first blocks, which are never asked for twice.
-    """
+    for every block still to come.  A prefix of two or more blocks whose
+    hulls miss each other is cut with its whole subtree; once two blocks
+    remain, the second is the rest.  Each question is one ``_hulls_meet``
+    on point differences computed once per call; no hull is built."""
     n = len(points)
     if n > 12:
         raise TooLargeError("exhaustive partition count is capped at 12 points")
     if r < 1 or r > n:
         return 0
-    hulls = {}
+    if r == 1:
+        return 1
+    field, d = points[0].field, points[0].dim
+    if any(p.dim != d or p.field != field for p in points):
+        raise DimensionError("points of unequal dimension or from different fields")
+    ops = field.ops
+    diff = [[tuple(map(ops.sub, q._data, p._data)) for q in points] for p in points]
 
-    def hull(mask: int) -> ConvexSet:
-        h = hulls.get(mask)
-        if h is None:
-            h = conv_hull([p for i, p in enumerate(points) if mask >> i & 1])
-            # a block holding index 0 is always the first block, so each
-            # such hull is asked for once and is not kept
-            if not mask & 1:
-                hulls[mask] = h
-        return h
+    @functools.cache
+    def point_in_hull(i: int, block: Tuple[int, ...]) -> bool:
+        t, *ps = block
+        return _spans_integrally(ops, [diff[t][p] for p in ps], diff[t][i])
 
-    def count(prefix: Tuple[ConvexSet, ...], free: int, blocks: int) -> int:
+    indices = functools.cache(lambda mask: tuple(i for i in range(n) if mask >> i & 1))
+
+    def count(prefix: Tuple[Tuple[int, ...], ...], free: int, blocks: int) -> int:
         low = free & -free
         others = free ^ low
         found = 0
@@ -257,18 +270,16 @@ def count_tverberg_partitions(points: Sequence[Vector], r: int) -> int:
         while True:
             rest = others ^ sub
             if rest.bit_count() >= blocks - 1:
-                block = hull(low | sub)
+                chosen = prefix + (indices(low | sub),)
                 if blocks == 2:
-                    found += meets(*prefix, block, hull(rest))
-                else:
-                    acc = intersect(prefix[0], block) if prefix else block
-                    if not acc.is_empty:
-                        found += count((acc,), rest, blocks - 1)
+                    found += _hulls_meet(ops, diff, chosen + (indices(rest),), point_in_hull)
+                elif not prefix or _hulls_meet(ops, diff, chosen, point_in_hull):
+                    found += count(chosen, rest, blocks - 1)
             if not sub:
                 return found
             sub = (sub - 1) & others
 
-    return 1 if r == 1 else count((), (1 << n) - 1, r)
+    return count((), (1 << n) - 1, r)
 
 
 # ---------------------------------------------------------------------------

@@ -287,14 +287,9 @@ def subset(c1: ConvexSet, c2: ConvexSet) -> bool:
         return False
     if not c2.contains(c1.translate):
         return False
-    m2 = c2.module
-    for v in c1.module.free_gens:
-        if not m2.contains_line(v):
-            return False
-    for g in c1.module.integral_gens:
-        if not m2.member(g):
-            return False
-    return True
+    m1, m2 = c1.module, c2.module
+    return (all(m2.contains_line(v) for v in m1.free_gens)
+            and all(m2.member(g) for g in m1.integral_gens))
 
 
 def equals(c1: ConvexSet, c2: ConvexSet) -> bool:
@@ -325,31 +320,14 @@ def _coset_shrink(module: "MixedModule", x: Vector) -> Vector:
     return out
 
 
-def _check_ambients(sets: Sequence[ConvexSet]) -> None:
-    for c in sets[1:]:
-        if c.dim != sets[0].dim or c.field != sets[0].field:
-            raise DimensionError("cannot intersect sets from different ambients")
-
-
 def _sum_system(c1: ConvexSet, c2: ConvexSet) -> Tuple[ScaleSystem, Optional[Vector]]:
     """The scale-constrained system over the generators of the first module
     and the negated generators of the second, with a box solution for the
     translate difference (None when the nonempty sets miss each other)."""
     m1, m2 = c1.module, c2.module
-    cols: List[Vector] = []
-    scales: List[str] = []
-    for v in m1.free_gens:
-        cols.append(v)
-        scales.append(FREE)
-    for v in m1.integral_gens:
-        cols.append(v)
-        scales.append(INTEGRAL)
-    for v in m2.free_gens:
-        cols.append(-v)
-        scales.append(FREE)
-    for v in m2.integral_gens:
-        cols.append(-v)
-        scales.append(INTEGRAL)
+    cols = [*m1.free_gens, *m1.integral_gens] + [-v for v in m2.free_gens + m2.integral_gens]
+    scales = ([FREE] * len(m1.free_gens) + [INTEGRAL] * len(m1.integral_gens)
+              + [FREE] * len(m2.free_gens) + [INTEGRAL] * len(m2.integral_gens))
     G = Matrix.from_cols(c1.field, cols, nrows=c1.dim)
     sys = ScaleSystem(G, scales)
     return sys, sys.solve_box(c2.translate - c1.translate)
@@ -362,7 +340,8 @@ def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
     two modules; the common point and the intersection module are read off
     a scale-constrained system over the concatenated generators.
     """
-    _check_ambients((c1, c2))
+    if c1.dim != c2.dim or c1.field != c2.field:
+        raise DimensionError("cannot intersect sets from different ambients")
     if c1.is_empty:
         return c1
     if c2.is_empty:
@@ -382,35 +361,6 @@ def intersect(c1: ConvexSet, c2: ConvexSet) -> ConvexSet:
     mod = MixedModule(field, d, free, integral)
     point = _coset_shrink(mod, c1.translate + image1(witness))
     return ConvexSet.of(point, mod)
-
-
-def meets(*sets: ConvexSet) -> bool:
-    """Whether the sets share a point, without building their intersection.
-
-    - If any set is empty, the answer is False.
-    - If some set is a single point (its module has no generators, as for
-      the hull of one point), the answer is whether every other set
-      contains that point, read off their cached normal forms.
-    - Otherwise all sets but the last are intersected, and the last is
-      decided by the box witness of their sum system alone.
-
-    With no sets the answer is True: the empty intersection is the whole
-    space.  Sets from different ambients raise ``DimensionError``.
-    """
-    _check_ambients(sets)
-    if any(c.is_empty for c in sets):
-        return False
-    for c in sets:
-        if not c.module.free_gens and not c.module.integral_gens:
-            return all(other.contains(c.translate) for other in sets if other is not c)
-    if len(sets) < 2:
-        return True
-    acc = sets[0]
-    for c in sets[1:-1]:
-        acc = intersect(acc, c)
-        if acc.is_empty:
-            return False
-    return _sum_system(acc, sets[-1])[1] is not None
 
 
 # ---------------------------------------------------------------------------

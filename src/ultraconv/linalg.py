@@ -482,28 +482,59 @@ def _kept_basis(field: Field, dim: int, gens: Sequence[Vector], images: Sequence
 def _eliminate(field: Field, dim: int, work: List[tuple], on: Sequence[int]) -> Optional[OrthoBasis]:
     """Valuation-pivoted elimination of payload vectors on the coordinates
     ``on``; None as soon as one of their projections vanishes."""
-    ops = field.ops
-    # valuations of each working vector on the coordinates in ``on``
-    vals = [[ops.val(w[j]) for j in on] for w in work]
-    out_vecs, out_pivots, out_gammas = [], [], []
-    while work:
-        mins = [min(v, default=INFINITY) for v in vals]
-        if INFINITY in mins:
+    steps = []
+    for u, pivot, gamma, _ in _pivot_steps(field.ops, work, on):
+        if pivot is None:
             return None
-        k = least_valuation_index(mins)
-        u, uvals, gamma = work.pop(k), vals.pop(k), mins[k]
-        # pivot: least coordinate index realizing the projected valuation
+        steps.append((_vector(field, u), pivot, gamma))
+    vecs, pivots, gammas = zip(*steps) if steps else ((), (), ())
+    return OrthoBasis(field, dim, vecs, pivots, gammas)
+
+
+def _pivot_steps(ops, work: List[tuple], on: Sequence[int]):
+    """Valuation-pivoted elimination of the payload vectors ``work``
+    (consumed) on ``on``.  Each step yields the vector of least valuation
+    gamma there (lowest index on ties), its pivot (its first coordinate in
+    ``on`` of valuation gamma), gamma and the pivot entry's inverse, then
+    clears the pivot from the others by integral multiples, keeping the
+    O-span.  A vector whose projection vanishes is yielded with pivot None."""
+    val, is_zero, mul = ops.val, ops.is_zero, ops.mul
+    # valuations of each working vector on the coordinates in ``on``
+    vals = [[val(w[j]) for j in on] for w in work]
+    mins = [min(v, default=INFINITY) for v in vals]
+    while work:
+        k = mins.index(INFINITY) if INFINITY in mins else least_valuation_index(mins)
+        u, uvals, gamma = work.pop(k), vals.pop(k), mins.pop(k)
+        if gamma == INFINITY:
+            yield u, None, gamma, None
+            continue
         pivot = on[uvals.index(gamma)]
         inv_top = ops.inv(u[pivot])
+        yield u, pivot, gamma, inv_top
         for i, w in enumerate(work):
             top = w[pivot]
-            if not ops.is_zero(top):
-                work[i] = w = _sub_multiple(ops, w, ops.mul(top, inv_top), u)
-                vals[i] = [ops.val(w[j]) for j in on]
-        out_vecs.append(_vector(field, u))
-        out_pivots.append(pivot)
-        out_gammas.append(gamma)
-    return OrthoBasis(field, dim, out_vecs, out_pivots, out_gammas)
+            if not is_zero(top):
+                work[i] = w = _sub_multiple(ops, w, mul(top, inv_top), u)
+                vals[i] = [val(w[j]) for j in on]
+                mins[i] = min(vals[i], default=INFINITY)
+
+
+def _spans_integrally(ops, work: Sequence[tuple], x: tuple) -> bool:
+    """Whether the payload vector x lies in the O-span of the payload
+    vectors ``work``: vanished vectors are dropped, not run through the
+    drop rule, and x is reduced by each pivot as it is found.  The later
+    vectors vanish there, so that coefficient is forced; one of negative
+    valuation answers False, and otherwise x must reduce to zero."""
+    is_zero = ops.is_zero
+    for u, pivot, _, inv_top in _pivot_steps(ops, list(work), range(len(x))):
+        if all(map(is_zero, x)):
+            return True
+        if pivot is not None and not is_zero(x[pivot]):
+            c = ops.mul(x[pivot], inv_top)
+            if ops.val(c) < 0:
+                return False
+            x = _sub_multiple(ops, x, c, u)
+    return all(map(is_zero, x))
 
 
 FREE = "free"

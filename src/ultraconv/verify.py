@@ -9,6 +9,7 @@ counterexample; they record it in ``res``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import zlib
@@ -661,9 +662,12 @@ def _stirling2(n: int, r: int) -> int:
 
 def prop_tverberg_count_conjecture(res: PropertyResult, s: Sampler, field: Field, trials: int) -> None:
     """Each count lies between 1 (``tverberg_partition`` finds a partition
-    of these n = (d+1)(r-1)+1 points) and S(n, r), and for n <= 5 equals an
-    enumeration of the partitions, each folded by ``Family.intersection``.
-    Shortfalls below the conjectured floor are notes, never failures."""
+    of these n = (d+1)(r-1)+1 points) and S(n, r), and equals an
+    enumeration of the partitions over hulls built once per trial: a
+    partition with a one-point block counts when the other hulls contain
+    that point, any other when ``Family.intersection`` of its hulls,
+    smallest block first, is nonempty.  Shortfalls below the conjectured
+    floor are notes, never failures."""
     combos = [(d, r) for d in (1, 2) for r in (2, 3)]
     for t in range(trials):
         d, r = combos[t % len(combos)]
@@ -672,11 +676,15 @@ def prop_tverberg_count_conjecture(res: PropertyResult, s: Sampler, field: Field
         got = count_tverberg_partitions(pts, r)
         if not 1 <= got <= _stirling2(n, r):
             res.record(f"trial {t}: d={d}, r={r}: {got} partitions, outside 1..S({n}, {r})")
-        elif n <= 5:
-            want = sum(
-                not Family(field, d, [conv_hull([pts[i] for i in b]) for b in blocks])
-                .intersection().is_empty
-                for blocks in _block_partitions(n, r))
+        else:
+            hull = functools.cache(lambda block: conv_hull([pts[i] for i in block]))
+
+            def common(blocks) -> bool:
+                first, *rest = sorted(map(tuple, blocks), key=len)
+                if len(first) == 1:
+                    return all(hull(b).contains(pts[first[0]]) for b in rest)
+                return not Family(field, d, [hull(b) for b in (first, *rest)]).intersection().is_empty
+            want = sum(map(common, _block_partitions(n, r)))
             if got != want:
                 res.record(f"trial {t}: d={d}, r={r}: {got} partitions, enumeration finds {want}")
         bound = math.factorial(r - 1) ** d

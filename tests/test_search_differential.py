@@ -1,7 +1,9 @@
 """Differential checks of the exhaustive searches against the plain
 enumerations they replaced: Tverberg partition counts against the
-restricted-growth enumerator with its intersection fold, ``meets`` against
-the folded ``intersect``, alpha against the per-combination fold,
+restricted-growth enumerator with its intersection fold and against the
+hull-and-``meets`` count that the one elimination per partition replaced,
+``meets`` (kept here as that count's oracle) against the folded
+``intersect``, alpha against the per-combination fold,
 ``breadth_reduce`` against the per-combination ``equals`` scan, the
 piercing candidates' coverage against a membership scan, and the one nerve
 walk behind alpha, beta and the piercing candidates against the three
@@ -21,10 +23,10 @@ from ultraconv.linalg import DimensionError, Vector
 from ultraconv.convex import (
     ConvexSet,
     MixedModule,
+    _sum_system,
     conv_hull,
     equals,
     intersect,
-    meets,
     quasi_ball,
 )
 from ultraconv import combinatorics
@@ -85,6 +87,73 @@ def oracle_tverberg_count(points, r):
         not fold([conv_hull([points[i] for i in b]) for b in blocks]).is_empty
         for blocks in partitions_into_blocks(len(points), r)
     )
+
+
+def meets(*sets):
+    """Whether the sets share a point, without building their intersection.
+
+    - If any set is empty, the answer is False.
+    - If some set is a single point (its module has no generators, as for
+      the hull of one point), the answer is whether every other set
+      contains that point, read off their cached normal forms.
+    - Otherwise all sets but the last are intersected, and the last is
+      decided by the box witness of their sum system alone.
+
+    With no sets the answer is True: the empty intersection is the whole
+    space.  Sets from different ambients raise ``DimensionError``.
+    """
+    for c in sets[1:]:
+        if c.dim != sets[0].dim or c.field != sets[0].field:
+            raise DimensionError("cannot intersect sets from different ambients")
+    if any(c.is_empty for c in sets):
+        return False
+    for c in sets:
+        if not c.module.free_gens and not c.module.integral_gens:
+            return all(other.contains(c.translate) for other in sets if other is not c)
+    if len(sets) < 2:
+        return True
+    acc = sets[0]
+    for c in sets[1:-1]:
+        acc = intersect(acc, c)
+        if acc.is_empty:
+            return False
+    return _sum_system(acc, sets[-1])[1] is not None
+
+
+def oracle_hull_count(points, r):
+    """The count that building hulls took: blocks chosen one at a time,
+    hulls cached by index bitmask, a running intersection per prefix with
+    empty prefixes cut, and the last two blocks decided by ``meets``."""
+    n = len(points)
+    if r < 1 or r > n:
+        return 0
+    hulls = {}
+
+    def hull(mask):
+        if mask not in hulls:
+            hulls[mask] = conv_hull([p for i, p in enumerate(points) if mask >> i & 1])
+        return hulls[mask]
+
+    def count(prefix, free, blocks):
+        low = free & -free
+        others = free ^ low
+        found = 0
+        sub = others
+        while True:
+            rest = others ^ sub
+            if rest.bit_count() >= blocks - 1:
+                block = hull(low | sub)
+                if blocks == 2:
+                    found += meets(*prefix, block, hull(rest))
+                else:
+                    acc = intersect(prefix[0], block) if prefix else block
+                    if not acc.is_empty:
+                        found += count((acc,), rest, blocks - 1)
+            if not sub:
+                return found
+            sub = (sub - 1) & others
+
+    return 1 if r == 1 else count((), (1 << n) - 1, r)
 
 
 def oracle_alpha(fam, k):
@@ -223,7 +292,7 @@ def set_pool(f, d, seed):
 # ---------------------------------------------------------------------------
 # Tverberg counts
 
-@pytest.mark.parametrize("sel", FIELDS)
+@pytest.mark.parametrize("sel", FIELDS + ("ratfunc:0",))
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tverberg_count_matches_restricted_growth_oracle(sel, d):
     f = Field.from_selector(sel)
@@ -231,7 +300,44 @@ def test_tverberg_count_matches_restricted_growth_oracle(sel, d):
     for n in {1: (4, 8), 2: (5, 7), 3: (6, 7)}[d]:
         pts = tverberg_points(f, rng, n, d)
         for r in range(1, 5):
-            assert count_tverberg_partitions(pts, r) == oracle_tverberg_count(pts, r), (n, r)
+            got = count_tverberg_partitions(pts, r)
+            assert got == oracle_tverberg_count(pts, r), (n, r)
+            assert got == oracle_hull_count(pts, r), (n, r)
+
+
+def designed_point_sets(f, d, rng):
+    """Point sets that reach every branch of the elimination: repeated
+    points, collinear points (whose differences in a block are parallel,
+    so elimination makes vectors vanish), few points (so many blocks hold
+    one point), and entries integer times pi^k for k = -2..2."""
+    def entry():
+        return f.from_int(rng.randint(-3, 3)) * f.uniformizer_pow(rng.randint(-2, 2))
+
+    base, step = Vector(f, [entry() for _ in range(d)]), Vector(f, [entry() for _ in range(d)])
+    line = [base + step.scale(entry()) for _ in range(6)]
+    spread = [Vector(f, [entry() for _ in range(d)]) for _ in range(6)]
+    return [
+        [spread[0]] * 3 + [spread[1]] * 3,
+        spread[:2] + [spread[0], spread[1], spread[0]],
+        line,
+        line[:3] + spread[:3],
+        spread[:4],
+        spread,
+        spread[:5] + [spread[2]],
+    ]
+
+
+@pytest.mark.parametrize("sel", FIELDS + ("ratfunc:0",))
+@pytest.mark.parametrize("d", [1, 2])
+def test_tverberg_count_on_designed_point_sets(sel, d):
+    f = Field.from_selector(sel)
+    rng = random.Random(f"designed/{sel}/{d}")
+    for _ in range(2):
+        for pts in designed_point_sets(f, d, rng):
+            for r in range(2, 5):
+                got = count_tverberg_partitions(pts, r)
+                assert got == oracle_tverberg_count(pts, r), (len(pts), r)
+                assert got == oracle_hull_count(pts, r), (len(pts), r)
 
 
 def test_tverberg_count_with_every_point_repeated():
@@ -240,6 +346,22 @@ def test_tverberg_count_with_every_point_repeated():
     pts = [p, q, p, q, p, q]
     for r in range(1, 5):
         assert count_tverberg_partitions(pts, r) == oracle_tverberg_count(pts, r)
+
+
+def test_tverberg_count_rejects_points_of_unequal_dimension():
+    f = Field.padic(2)
+    pts = [Vector.from_ints(f, [0, 1]), Vector.from_ints(f, [1, 1]), Vector.from_ints(f, [1, 1, 3])]
+    for r in (2, 3):
+        with pytest.raises(DimensionError):
+            count_tverberg_partitions(pts, r)
+
+
+def test_tverberg_count_rejects_points_from_different_fields():
+    f, g = Field.padic(2), Field.padic(3)
+    pts = [Vector.from_ints(f, [0, 1]), Vector.from_ints(f, [0, 1]), Vector.from_ints(g, [0, 1])]
+    for r in (2, 3):
+        with pytest.raises(DimensionError):
+            count_tverberg_partitions(pts, r)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +530,6 @@ def test_nerve_walk_on_copies_of_a_ball_is_linear(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(combinatorics, "intersect", counted(intersect))
-    monkeypatch.setattr(combinatorics, "meets", counted(meets))
     budget = 20
     assert pierce(fam) == [Vector.zero(f, 2)]
     calls.clear()
@@ -471,12 +592,11 @@ def test_nerve_walk_returns_exactly_the_maximal_faces(sel, d):
 
 @pytest.mark.parametrize("sel", FIELDS)
 @pytest.mark.parametrize("d", [1, 2])
-def test_pierce_builds_no_meets(sel, d, monkeypatch):
-    def refuse(*sets):
-        raise AssertionError("pierce called meets")
-
+def test_pierce_builds_no_meets(sel, d):
+    """``pierce`` gives the old search's greedy cover from the nerve's
+    maximal faces alone; ``meets`` has no caller left in the library."""
     f = Field.from_selector(sel)
     fams = designed_families(f, d) + list(joined_families(f, d, 40 + d, 6))
     expect = [oracle_pierce(fam) for fam in fams]
-    monkeypatch.setattr(combinatorics, "meets", refuse)
+    assert not hasattr(combinatorics, "meets")
     assert [pierce(fam) for fam in fams] == expect

@@ -16,7 +16,7 @@ from ultraconv import cli, combinatorics, convex, linalg, verify
 from ultraconv.field import Field
 
 count = verify.count_tverberg_partitions
-meets = convex.meets
+hulls_meet = combinatorics._hulls_meet
 drop_step = linalg._drop_step
 
 
@@ -37,8 +37,9 @@ MUTANTS = {
         "combinatorics", [(verify, "count_tverberg_partitions", lambda pts, r: 2 * count(pts, r))]),
     "tverberg count fixed at 10^6": (
         "combinatorics", [(verify, "count_tverberg_partitions", lambda pts, r: 10 ** 6)]),
-    "meets ignores its last set": (
-        "combinatorics", [(combinatorics, "meets", lambda *sets: meets(*sets[:-1]))]),
+    "decision ignores the last block": (
+        "combinatorics", [(combinatorics, "_hulls_meet",
+                           lambda ops, diff, blocks, inside: hulls_meet(ops, diff, blocks[:-1], inside))]),
     "drop rule takes the largest valuation": (
         "all", [(linalg, "_drop_step", drop_largest_valuation),
                 (convex, "_drop_step", drop_largest_valuation)]),
